@@ -64,8 +64,8 @@ section(const char *title)
  *                  sweeps with many runs record in memory only.
  *   --rack N       replicate the per-server design N times behind a
  *                  ToR dispatcher (system/rack.hh). N=1 (the
- *                  default) is the classic single-server path,
- *                  bit-identical to builds without the flag.
+ *                  default) is a rack of one, bit-identical to a
+ *                  bare server.
  *   --tor-policy P inter-server dispatch policy for --rack runs:
  *                  random, rr, p2c (power-of-2-choices, default),
  *                  or ll (least-loaded).
@@ -236,16 +236,13 @@ scaled(std::uint64_t requests, const Options &opt)
  * scenario with the same seed must produce identical digests, which
  * is the repo's determinism contract (tests/test_determinism.cc).
  * Benches print the digest so regressions in reproducibility are
- * visible in their output too. The mixing scheme is shared with
- * RunResult::fingerprint via altoc::Fnv1a, so digests observed here
- * and digests reported by runExperiment agree.
+ * visible in their output too. The mixing is altoc::RunDigest's, the
+ * same as RunResult::fingerprint's, so digests observed here and
+ * digests reported by runExperiment agree.
  */
 class RunFingerprint
 {
   public:
-    /** Mix one 64-bit word (byte-wise FNV-1a, order sensitive). */
-    void mix(std::uint64_t v) { h_.mix(v); }
-
     /** Observe every completion of @p server from now on. */
     void
     attach(altoc::system::Server &server)
@@ -253,30 +250,26 @@ class RunFingerprint
         server.setCompletionProbe([this](const altoc::cpu::Core &core,
                                          const altoc::net::Rpc &r,
                                          altoc::Tick now) {
-            mix(now);
-            mix(static_cast<std::uint64_t>(r.kind));
-            mix(core.id());
-            mix(r.id);
-            ++events_;
+            d_.completion(now, static_cast<std::uint64_t>(r.kind),
+                          core.id(), r.id);
         });
     }
 
-    std::uint64_t digest() const { return h_.digest(); }
+    std::uint64_t digest() const { return d_.digest(); }
 
     /** Completions hashed so far. */
-    std::uint64_t events() const { return events_; }
+    std::uint64_t events() const { return d_.events(); }
 
     void
     print(const char *label) const
     {
         std::printf("[fingerprint %s: %016llx over %llu completions]\n",
                     label, static_cast<unsigned long long>(digest()),
-                    static_cast<unsigned long long>(events_));
+                    static_cast<unsigned long long>(events()));
     }
 
   private:
-    altoc::Fnv1a h_;
-    std::uint64_t events_ = 0;
+    altoc::RunDigest d_;
 };
 
 /**

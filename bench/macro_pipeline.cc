@@ -11,8 +11,7 @@
  * push through its own hot loop per wall-clock second.
  *
  * The checked-in baseline is BENCH_macro.json (compared by
- * scripts/bench_compare.py, same workflow as BENCH_kernel.json);
- * BENCH_macro_prerefactor.json preserves the pre-overhaul numbers.
+ * scripts/bench_compare.py, same workflow as BENCH_kernel.json).
  * Run with --json=FILE to regenerate.
  *
  * The workload is the Fig. 10 figure-scale mix — Bimodal(0.5%,

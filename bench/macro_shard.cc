@@ -9,11 +9,12 @@
  * reports items_per_second where one item is one completed simulated
  * request. Every N produces bit-identical results (the fingerprint
  * fold pins that inside the bench itself); the per-shard counters
- * differ only in wall clock, so the /1 vs /4 ratio *is* the sharded
- * executor's speedup on one topology too big for a single core's
- * event loop. On a multicore host /4 is expected >= 2x /1; on a
- * ci-constrained single-core runner the windows still execute
- * (parallel_windows counter > 0) but yield their speedup back.
+ * differ only in wall clock, so the /1 vs /N ratio *is* the sharded
+ * executor's speedup on this topology. On a 4-vCPU VM /2 ran about
+ * 1.4x faster than /1 and /4 no faster at all (README, "Sharded
+ * execution", has the measurements); on a single-core runner the
+ * windows still execute (parallel_windows counter > 0) but cost
+ * more than they save.
  *
  * The checked-in baseline is BENCH_shard.json (compared warn-only by
  * scripts/bench_compare.py in the perf-smoke job). Regenerate with
@@ -72,7 +73,7 @@ BM_MacroShard(benchmark::State &state)
     std::uint64_t windows = 0;
     std::uint64_t fingerprint = 0;
     for (auto _ : state) {
-        const RunResult res = runRackExperiment(cfg, spec);
+        const RunResult res = runExperiment(cfg, spec);
         completed += res.completed;
         windows = res.parallelWindows;
         if (fingerprint != 0 && fingerprint != res.fingerprint) {

@@ -72,6 +72,25 @@ struct MessagingStats
     /** MIGRATEs swallowed by a fail-stopped manager's receive path
      *  (no NACK; the source's ACK timeout is the failure signal). */
     std::uint64_t migratesToDead = 0;
+
+    /** Field-wise sum (rack-wide totals). */
+    MessagingStats &
+    operator+=(const MessagingStats &o)
+    {
+        migratesSent += o.migratesSent;
+        migratesAcked += o.migratesAcked;
+        migratesNacked += o.migratesNacked;
+        migratesTimedOut += o.migratesTimedOut;
+        staleMigratesDiscarded += o.staleMigratesDiscarded;
+        descriptorsSent += o.descriptorsSent;
+        descriptorsDelivered += o.descriptorsDelivered;
+        descriptorsReturned += o.descriptorsReturned;
+        updatesSent += o.updatesSent;
+        sendsRefused += o.sendsRefused;
+        bytesOnNoc += o.bytesOnNoc;
+        migratesToDead += o.migratesToDead;
+        return *this;
+    }
 };
 
 /**

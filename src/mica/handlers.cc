@@ -48,30 +48,29 @@ MicaHandler::setKeySkew(double s)
 }
 
 void
-MicaHandler::sampleRequest(net::Rpc &r, Rng &rng)
+MicaHandler::sampleRequest(net::WireRpc &w, Rng &rng)
 {
     const std::uint64_t total_keys =
         store_.config().keysPerPartition *
         static_cast<std::uint64_t>(store_.partitions());
-    r.key = zipf_ ? zipf_->sample(rng) : rng.below(total_keys);
-    r.homeGroup =
-        static_cast<std::uint16_t>(store_.partitionOf(r.key));
+    w.key = zipf_ ? zipf_->sample(rng) : rng.below(total_keys);
+    w.homeGroup =
+        static_cast<std::uint16_t>(store_.partitionOf(w.key));
 
     if (rng.chance(scanFrac_)) {
-        r.kind = net::RequestKind::Scan;
-        r.service = nominalScanNs(store_.config());
-        r.sizeBytes = 64;
+        w.kind = net::RequestKind::Scan;
+        w.service = nominalScanNs(store_.config());
+        w.sizeBytes = 64;
     } else if (rng.chance(0.5)) {
-        r.kind = net::RequestKind::Get;
-        r.service = kNominalRw;
-        r.sizeBytes = 64;
+        w.kind = net::RequestKind::Get;
+        w.service = kNominalRw;
+        w.sizeBytes = 64;
     } else {
-        r.kind = net::RequestKind::Set;
-        r.service = kNominalRw;
+        w.kind = net::RequestKind::Set;
+        w.service = kNominalRw;
         // SET carries the value on the wire.
-        r.sizeBytes = 64 + store_.config().valueLen;
+        w.sizeBytes = 64 + store_.config().valueLen;
     }
-    r.remaining = r.service;
 }
 
 Tick

@@ -81,11 +81,11 @@ class MicaHandler
     void resolve(net::Rpc &r, cpu::Core &core);
 
     /**
-     * Fill @p r with a sampled MICA request: kind, key id, home
+     * Fill @p w with a sampled MICA request: kind, key id, home
      * group and wire sizes. Nominal service demand is set so
      * schedulers relying on it pre-resolution stay sane.
      */
-    void sampleRequest(net::Rpc &r, Rng &rng);
+    void sampleRequest(net::WireRpc &w, Rng &rng);
 
     /** Mean nominal service time of the generated mix. */
     Tick meanServiceNs() const;

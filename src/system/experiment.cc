@@ -6,6 +6,8 @@
 #include "system/experiment.hh"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
@@ -190,11 +192,13 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
            const std::string &dist_name, Tick slo_target,
            std::uint64_t warmup, std::uint64_t seed,
            const sim::FaultSpec &faults, bool log_latency_histogram,
-           const trace::TraceConfig &tracing)
+           const trace::TraceConfig &tracing, sim::Simulator *region,
+           unsigned server_id)
 {
     Server::Config scfg;
     scfg.cores = cfg.cores;
     scfg.nic = nicConfigFor(cfg);
+    scfg.serverId = server_id;
     scfg.sloTarget = slo_target;
     scfg.warmup = warmup;
     scfg.seed = seed;
@@ -202,7 +206,51 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
     scfg.logLatencyHistogram = log_latency_histogram;
     scfg.trace = tracing;
     return std::make_unique<Server>(
-        scfg, makeScheduler(cfg, mean_service, dist_name));
+        scfg, makeScheduler(cfg, mean_service, dist_name), region);
+}
+
+DerivedSpec
+deriveSpec(const WorkloadSpec &spec)
+{
+    DerivedSpec d;
+    d.meanService =
+        spec.trace ? spec.trace->meanService() : spec.service->mean();
+    d.distName = spec.trace ? "Fixed" : spec.service->name();
+    d.slo = spec.sloAbsolute
+                ? *spec.sloAbsolute
+                : static_cast<Tick>(spec.sloFactor * d.meanService);
+    d.total = spec.trace ? spec.trace->size() : spec.requests;
+    d.warmup = static_cast<std::uint64_t>(
+        spec.warmupFraction * static_cast<double>(d.total));
+    return d;
+}
+
+void
+RunResult::accumulate(const Server &srv)
+{
+    const sched::Scheduler &sched = srv.scheduler();
+    completed += srv.completed();
+    requestsShed += srv.requestsShed();
+    dropped += srv.dropped();
+    predictions += srv.predictions();
+    coresKilled += sched.coresDead();
+    requestsRescued += sched.requestsRescued();
+    managersFailedOver += sched.managersFailedOver();
+    if (const auto *group =
+            dynamic_cast<const core::GroupScheduler *>(&sched)) {
+        migrated += group->requestsMigrated();
+        messaging += group->messagingStats();
+        migratesRetried += group->migratesRetried();
+        migratesTimedOut += group->migratesTimedOut();
+        peersQuarantined += group->peersQuarantined();
+        peersDeadDeclared += group->peersDeadDeclared();
+    }
+    if (const sim::FaultInjector *fi = srv.faultInjector())
+        faultsInjected += fi->counters().total();
+    if (const trace::Tracer *tr = srv.tracer()) {
+        traceRecords += tr->totalWritten();
+        traceDropped += tr->totalDropped();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -210,7 +258,18 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
 // ---------------------------------------------------------------------
 
 LoadGenerator::LoadGenerator(Server &server, const WorkloadSpec &spec)
-    : server_(server), spec_(spec), rng_(server.forkRng(spec.seed))
+    : LoadGenerator(nullptr, server, server.sim(), spec)
+{}
+
+LoadGenerator::LoadGenerator(Rack &rack, const WorkloadSpec &spec)
+    : LoadGenerator(&rack, rack.server(0), rack.sim(), spec)
+{}
+
+LoadGenerator::LoadGenerator(Rack *rack, Server &server,
+                             sim::Simulator &sim,
+                             const WorkloadSpec &spec)
+    : rack_(rack), server_(server), sim_(sim), spec_(spec),
+      rng_(server.forkRng(spec.seed))
 {
     if (spec_.trace == nullptr) {
         altoc_assert(spec_.service != nullptr,
@@ -225,6 +284,23 @@ LoadGenerator::LoadGenerator(Server &server, const WorkloadSpec &spec)
     }
 }
 
+int
+LoadGenerator::place()
+{
+    return rack_ != nullptr ? rack_->pickServer() : 0;
+}
+
+void
+LoadGenerator::send(int s, net::WireRpc &w)
+{
+    if (decorate_)
+        decorate_(w, rng_);
+    if (rack_ != nullptr)
+        rack_->deliver(static_cast<unsigned>(s), w);
+    else
+        server_.injectWire(w);
+}
+
 void
 LoadGenerator::start()
 {
@@ -234,47 +310,53 @@ LoadGenerator::start()
         const auto &recs = spec_.trace->records();
         for (std::uint64_t i = 0; i < recs.size(); ++i) {
             const workload::TraceRecord &rec = recs[i];
-            server_.sim().at(rec.arrival, [this, i, &rec] {
-                net::Rpc *r = server_.makeRpc();
-                r->id = i;
-                r->service = rec.service;
-                r->remaining = rec.service;
-                r->kind = rec.kind;
-                r->conn = rec.conn;
-                r->sizeBytes = rec.sizeBytes;
-                r->key = rec.key;
-                r->homeGroup = rec.homeGroup;
-                if (decorate_)
-                    decorate_(*r, rng_);
+            sim_.at(rec.arrival, [this, i, &rec] {
+                const int s = place();
                 ++injected_;
-                server_.inject(r);
+                if (s < 0) {
+                    rack_->shedAtTor(i);
+                    return;
+                }
+                net::WireRpc w;
+                w.id = i;
+                w.service = rec.service;
+                w.kind = rec.kind;
+                w.conn = rec.conn;
+                w.sizeBytes = rec.sizeBytes;
+                w.key = rec.key;
+                w.homeGroup = rec.homeGroup;
+                send(s, w);
             });
         }
         return;
     }
     nextArrival_ = arrivals_->nextGap(rng_);
-    server_.sim().at(nextArrival_, [this] { injectNext(); });
+    sim_.at(nextArrival_, [this] { injectNext(); });
 }
 
 void
 LoadGenerator::injectNext()
 {
-    net::Rpc *r = server_.makeRpc();
-    r->id = injected_;
-    const workload::ServiceSample s = spec_.service->sample(rng_);
-    r->service = s.service;
-    r->remaining = s.service;
-    r->kind = s.kind;
-    r->conn = static_cast<std::uint32_t>(rng_.below(spec_.connections));
-    r->sizeBytes = spec_.requestBytes;
-    if (decorate_)
-        decorate_(*r, rng_);
-    ++injected_;
-    server_.inject(r);
+    const int s = place();
+    if (s >= 0) {
+        net::WireRpc w;
+        w.id = injected_;
+        const workload::ServiceSample smp = spec_.service->sample(rng_);
+        w.service = smp.service;
+        w.kind = smp.kind;
+        w.conn = static_cast<std::uint32_t>(rng_.below(spec_.connections));
+        w.sizeBytes = spec_.requestBytes;
+        ++injected_;
+        send(s, w);
+    } else {
+        // Every server is dead: shed at the ToR without drawing the
+        // workload samples the request would have carried.
+        rack_->shedAtTor(injected_++);
+    }
 
     if (injected_ < spec_.requests) {
         nextArrival_ += arrivals_->nextGap(rng_);
-        server_.sim().at(nextArrival_, [this] { injectNext(); });
+        sim_.at(nextArrival_, [this] { injectNext(); });
     }
 }
 
@@ -282,135 +364,311 @@ LoadGenerator::injectNext()
 // runExperiment
 // ---------------------------------------------------------------------
 
+namespace {
+
+/**
+ * The run's one observation path: folds completions and fault events
+ * into the fingerprint, the rack-wide latency tracker and the
+ * per-request capture. Serial runs feed it from direct hooks, in the
+ * kernel's canonical (tick, region, seq) dispatch order; sharded runs
+ * replay their merged logs through it in that same order.
+ */
+class Observer
+{
+  public:
+    Observer(unsigned servers, const DerivedSpec &d,
+             const WorkloadSpec &spec, RunResult &result)
+        : federated_(servers > 1), warmup_(d.warmup),
+          capture_(spec.capturePerRequest ? &result.perRequest : nullptr)
+    {
+        // One server's own tracker already holds the run's latency
+        // stream; only a federation needs a rack-wide one (its warmup
+        // counts completions rack-wide).
+        if (federated_) {
+            tracker_.emplace(d.slo, spec.logLatencyHistogram);
+            tracker_->reserve(static_cast<std::size_t>(d.total));
+        }
+        if (capture_ != nullptr)
+            capture_->reserve(d.total);
+    }
+
+    void
+    completion(unsigned server, Tick now, std::uint64_t kind,
+               unsigned core, std::uint64_t id)
+    {
+        digest_.completion(now, kind, core, id);
+        if (federated_)
+            digest_.server(server);
+    }
+
+    void
+    outcome(std::uint64_t id, Tick latency, bool migrated,
+            bool predicted)
+    {
+        if (tracker_ && ++seen_ > warmup_)
+            tracker_->record(latency);
+        if (capture_ != nullptr) {
+            capture_->push_back(
+                RequestOutcome{id, latency, migrated, predicted});
+        }
+    }
+
+    void
+    fault(unsigned server, Tick now, std::uint64_t kind, unsigned a,
+          unsigned b)
+    {
+        digest_.fault(now, kind, a, b);
+        if (federated_)
+            digest_.server(server);
+    }
+
+    /** True when outcome() has anything to do. */
+    bool wantsOutcomes() const { return tracker_ || capture_ != nullptr; }
+
+    /** The rack-wide tracker (federated runs only). */
+    const stats::SloTracker &tracker() const { return *tracker_; }
+
+    const RunDigest &digest() const { return digest_; }
+
+  private:
+    RunDigest digest_;
+    bool federated_;
+    std::optional<stats::SloTracker> tracker_;
+    std::uint64_t seen_ = 0;
+    std::uint64_t warmup_;
+    std::vector<RequestOutcome> *capture_;
+};
+
+/** Serial runs: every hook feeds the observer as it fires. */
+void
+observeDirect(Rack &rack, Observer &obs)
+{
+    Observer *o = &obs;
+    for (unsigned s = 0; s < rack.numServers(); ++s) {
+        Server &srv = rack.server(s);
+        srv.setCompletionProbe(
+            [o, s](const cpu::Core &core, const net::Rpc &r, Tick now) {
+                o->completion(s, now, static_cast<std::uint64_t>(r.kind),
+                              core.id(), r.id);
+            });
+        if (obs.wantsOutcomes()) {
+            srv.setCompletionHook([o](const net::Rpc &r, Tick latency) {
+                o->outcome(r.id, latency, r.migrated,
+                           r.predictedViolation);
+            });
+        }
+        if (sim::FaultInjector *fi = srv.faultInjector()) {
+            fi->setEventHook([o, s](sim::FaultInjector::Kind kind,
+                                    Tick now, unsigned a, unsigned b) {
+                o->fault(s, now, static_cast<std::uint64_t>(kind), a, b);
+            });
+        }
+    }
+}
+
+/**
+ * One observation in a server's private log. Sharded runs fire hooks
+ * on several threads, so each server appends to its own log
+ * (thread-confined) and replay() folds the logs after the run.
+ */
+struct ObsRec
+{
+    Tick at = 0;           //!< region clock when observed (merge key)
+    Tick value = 0;        //!< completion: latency; fault: its tick
+    std::uint64_t id = 0;  //!< completion: rpc id; fault: arg a
+    std::uint32_t aux = 0; //!< fault: arg b
+    std::uint16_t kind = 0; //!< RequestKind / FaultInjector::Kind
+    std::uint16_t core = 0; //!< completion: executing core id
+    bool fault = false;
+    bool migrated = false;
+    bool predicted = false;
+};
+
+using ObsLogs = std::vector<std::vector<ObsRec>>;
+
+ObsLogs
+observeLogged(Rack &rack, std::uint64_t total)
+{
+    const unsigned n = rack.numServers();
+    ObsLogs logs(n);
+    for (unsigned s = 0; s < n; ++s) {
+        std::vector<ObsRec> *log = &logs[s];
+        log->reserve(static_cast<std::size_t>(total / n + total / (2 * n) +
+                                              1024));
+        Server &srv = rack.server(s);
+        // The probe fires first in onRpcDone and opens the record;
+        // the hook fires later in the same call and completes it --
+        // nothing can append in between.
+        srv.setCompletionProbe(
+            [log](const cpu::Core &core, const net::Rpc &r, Tick now) {
+                ObsRec o;
+                o.at = now;
+                o.id = r.id;
+                o.kind = static_cast<std::uint16_t>(r.kind);
+                o.core = static_cast<std::uint16_t>(core.id());
+                log->push_back(o);
+            });
+        srv.setCompletionHook([log](const net::Rpc &r, Tick latency) {
+            ObsRec &o = log->back();
+            o.value = latency;
+            o.migrated = r.migrated;
+            o.predicted = r.predictedViolation;
+        });
+        if (sim::FaultInjector *fi = srv.faultInjector()) {
+            // A fault may name a later tick than the one it is
+            // injected at (a straggle names its slice's start); the
+            // merge key is the injection tick, as in serial order.
+            const sim::Simulator *clock = &srv.sim();
+            fi->setEventHook([log, clock](sim::FaultInjector::Kind kind,
+                                          Tick now, unsigned a,
+                                          unsigned b) {
+                ObsRec o;
+                o.at = clock->now();
+                o.value = now;
+                o.fault = true;
+                o.kind = static_cast<std::uint16_t>(kind);
+                o.id = a;
+                o.aux = b;
+                log->push_back(o);
+            });
+        }
+    }
+    return logs;
+}
+
+/** Fold the logs into @p obs in ascending (tick, server, log position)
+ *  order: the canonical dispatch order restricted to observations. */
+void
+replay(const ObsLogs &logs, Observer &obs)
+{
+    const unsigned n = static_cast<unsigned>(logs.size());
+    std::vector<std::size_t> pos(n, 0);
+    for (;;) {
+        unsigned best = n;
+        Tick bw = kTickInf;
+        for (unsigned s = 0; s < n; ++s) {
+            if (pos[s] < logs[s].size() && logs[s][pos[s]].at < bw) {
+                bw = logs[s][pos[s]].at;
+                best = s;
+            }
+        }
+        if (best == n)
+            break;
+        const ObsRec &o = logs[best][pos[best]++];
+        if (o.fault) {
+            obs.fault(best, o.value, o.kind, static_cast<unsigned>(o.id),
+                      o.aux);
+        } else {
+            obs.completion(best, o.at, o.kind, o.core, o.id);
+            obs.outcome(o.id, o.value, o.migrated, o.predicted);
+        }
+    }
+}
+
+/** Server @p s's slice of a federated run. */
+PerServerResult
+sliceOf(const Rack &rack, unsigned s)
+{
+    const Server &srv = rack.server(s);
+    RunResult own;
+    own.accumulate(srv);
+    PerServerResult ps;
+    ps.completed = own.completed;
+    ps.dropped = own.dropped;
+    ps.migrated = own.migrated;
+    ps.requestsShed = own.requestsShed;
+    ps.coresKilled = own.coresKilled;
+    ps.requestsRescued = own.requestsRescued;
+    ps.managersFailedOver = own.managersFailedOver;
+    ps.latency = srv.tracker().summary();
+    ps.utilization = srv.workerUtilization();
+    ps.dead = rack.serverDead(s);
+    return ps;
+}
+
+} // namespace
+
 RunResult
 runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
 {
-    // Topology dispatch: a federated rack gets the two-layer driver.
-    // The classic path below stays byte-for-byte what it was -- the
-    // N=1 bit-identity contract in system/rack.hh leans on it.
-    if (cfg.rack.servers > 1)
-        return runRackExperiment(cfg, spec);
-    if (cfg.shards > 1) {
-        inform("sharding disabled: one server is one kernel region "
-               "(set --rack to get a shardable topology)");
-    }
-    if (spec.faults.maxScopedServer() > 0) {
-        fatal("fault spec scopes server %d but the run is "
-              "single-server (set --rack / DesignConfig::rack)",
-              spec.faults.maxScopedServer());
-    }
-
-    const double mean_service =
-        spec.trace ? spec.trace->meanService() : spec.service->mean();
-    const std::string dist_name =
-        spec.trace ? "Fixed" : spec.service->name();
-    const Tick slo =
-        spec.sloAbsolute
-            ? *spec.sloAbsolute
-            : static_cast<Tick>(spec.sloFactor * mean_service);
-    const std::uint64_t total =
-        spec.trace ? spec.trace->size() : spec.requests;
-    const std::uint64_t warmup = static_cast<std::uint64_t>(
-        spec.warmupFraction * static_cast<double>(total));
-
-    // forServer(0) folds S0-scoped entries into the plain schedule;
-    // it is the identity on an unscoped spec.
-    auto server = makeServer(cfg, static_cast<Tick>(mean_service),
-                             dist_name, slo, warmup, spec.seed,
-                             spec.faults.forServer(0),
-                             spec.logLatencyHistogram, spec.tracing);
-    // Pre-size the descriptor pool and latency store so the measured
+    const DerivedSpec d = deriveSpec(spec);
+    Rack rack(cfg, spec);
+    const unsigned n = rack.numServers();
+    // Pre-size the descriptor pools and latency stores so the measured
     // run performs no slab growth or sample-vector reallocation.
-    server->reserveFor(total);
-    server->stopAfterCompletions(total);
+    rack.reserveFor(d.total);
+    rack.stopAfterCompletions(d.total);
+    const unsigned shards = rack.resolveShards(cfg.shards);
 
     RunResult result;
-    if (spec.capturePerRequest) {
-        result.perRequest.reserve(total);
-        server->setCompletionHook(
-            [&result](const net::Rpc &r, Tick latency) {
-                result.perRequest.push_back(RequestOutcome{
-                    r.id, latency, r.migrated, r.predictedViolation});
-            });
-    }
+    result.rackServers = n;
+    Observer obs(n, d, spec, result);
+    ObsLogs logs;
+    if (shards > 1)
+        logs = observeLogged(rack, d.total);
+    else
+        observeDirect(rack, obs);
 
-    // Completion-stream digest; the mixing scheme must match
-    // bench::RunFingerprint (see common/fingerprint.hh).
-    Fnv1a fp;
-    std::uint64_t fp_events = 0;
-    server->setCompletionProbe([&fp, &fp_events](const cpu::Core &core,
-                                                 const net::Rpc &r,
-                                                 Tick now) {
-        fp.mix(now);
-        fp.mix(static_cast<std::uint64_t>(r.kind));
-        fp.mix(core.id());
-        fp.mix(r.id);
-        ++fp_events;
-    });
-
-    // Satellite of the fingerprint scheme: injected fault events are
-    // part of the run's identity. Mixing them in makes two chaos runs
-    // comparable bit-for-bit (and a pristine run's digest untouched,
-    // since the hook only exists when an injector does).
-    if (sim::FaultInjector *fi = server->faultInjector()) {
-        fi->setEventHook([&fp, &fp_events](sim::FaultInjector::Kind kind,
-                                           Tick now, unsigned a,
-                                           unsigned b) {
-            fp.mix(now);
-            fp.mix(0xFA000000ull + static_cast<std::uint64_t>(kind));
-            fp.mix(a);
-            fp.mix(b);
-            ++fp_events;
-        });
-    }
-
-    LoadGenerator gen(*server, spec);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    const Tick end = server->run(spec.timeLimit);
+    Tick end = 0;
+    if (shards > 1) {
+        // Stay parallel only while arrivals are still pending: a
+        // request injected during a window cannot complete within it
+        // (delivery alone costs a full window), so the completion
+        // threshold can only be crossed in the serial tail and the
+        // stop lands on exactly the event it would serially.
+        end = rack.runSharded(
+            shards, spec.timeLimit,
+            sim::Kernel::ParallelGate([&gen, total = d.total] {
+                return gen.injected() < total;
+            }));
+        replay(logs, obs);
+    } else {
+        end = rack.run(spec.timeLimit);
+    }
 
-    result.design = server->scheduler().name();
+    // Conservation only holds once everything in flight finished; a
+    // run stopped early legitimately leaves live descriptors behind.
+    if (rack.idle())
+        rack.checkConservation(gen.injected());
+
+    for (unsigned s = 0; s < n; ++s)
+        result.accumulate(rack.server(s));
+    if (const trace::Tracer *tor = rack.torTracer()) {
+        result.traceRecords += tor->totalWritten();
+        result.traceDropped += tor->totalDropped();
+    }
+    if (n > 1) {
+        result.perServer.reserve(n);
+        for (unsigned s = 0; s < n; ++s)
+            result.perServer.push_back(sliceOf(rack, s));
+    }
+
+    const stats::SloTracker &tracker =
+        n == 1 ? rack.server(0).tracker() : obs.tracker();
+    result.design = rack.server(0).scheduler().name();
     result.offeredMrps =
         spec.trace ? spec.trace->offeredRate() * 1e3 : spec.rateMrps;
     result.achievedMrps =
-        end > 0 ? static_cast<double>(server->completed()) /
+        end > 0 ? static_cast<double>(result.completed) /
                       static_cast<double>(end) * 1e3
                 : 0.0;
-    result.latency = server->tracker().summary();
-    result.sloTarget = slo;
-    result.violationRatio = server->tracker().violationRatio();
-    result.violations = server->tracker().violations();
-    result.completed = server->completed();
-    result.utilization = server->workerUtilization();
-    result.predictions = server->predictions();
-    result.dropped = server->dropped();
-    result.coresKilled = server->scheduler().coresDead();
-    result.requestsRescued = server->scheduler().requestsRescued();
-    result.managersFailedOver = server->scheduler().managersFailedOver();
-    result.requestsShed = server->requestsShed();
-    result.fingerprint = fp.digest();
-    result.fingerprintEvents = fp_events;
-    if (spec.dumpStats)
-        server->dumpStats();
+    result.latency = tracker.summary();
+    result.sloTarget = d.slo;
+    result.violationRatio = tracker.violationRatio();
+    result.violations = tracker.violations();
+    result.utilization = rack.workerUtilization();
+    result.torDispatched = rack.torDispatched();
+    result.torShed = rack.torShed();
+    result.fingerprint = obs.digest().digest();
+    result.fingerprintEvents = obs.digest().events();
+    result.parallelWindows = rack.kernel().parallelWindows();
 
-    if (auto *group = dynamic_cast<const core::GroupScheduler *>(
-            &server->scheduler())) {
-        result.migrated = group->requestsMigrated();
-        result.messaging = group->messagingStats();
-        result.migratesRetried = group->migratesRetried();
-        result.migratesTimedOut = group->migratesTimedOut();
-        result.peersQuarantined = group->peersQuarantined();
-        result.peersDeadDeclared = group->peersDeadDeclared();
-    }
-    if (const sim::FaultInjector *fi = server->faultInjector())
-        result.faultsInjected = fi->counters().total();
-    if (const trace::Tracer *tr = server->tracer()) {
-        result.traceRecords = tr->totalWritten();
-        result.traceDropped = tr->totalDropped();
-        if (!spec.tracing.file.empty()) {
-            altoc_assert(server->writeTrace(),
-                         "failed to write trace file");
-        }
-    }
+    if (spec.dumpStats)
+        rack.dumpStats();
+    if (rack.server(0).tracer() != nullptr && !spec.tracing.file.empty())
+        altoc_assert(rack.writeTrace(), "failed to write trace file");
     return result;
 }
 

@@ -91,11 +91,11 @@ struct DesignConfig
     bool singleCoherenceDomain = false;
 
     /**
-     * Rack topology (system/topology.hh). The default single-server
-     * shape keeps runExperiment on the classic path; rack.servers > 1
-     * federates `rack.servers` copies of the server shape above
-     * behind a ToR dispatcher (runExperiment then delegates to
-     * runRackExperiment in system/rack.hh).
+     * Rack topology (system/topology.hh): runExperiment builds
+     * `rack.servers` copies of the server shape above behind a ToR
+     * dispatcher (system/rack.hh). The default of one server is a
+     * rack of one -- no ToR draw, no link hop, no server index in the
+     * fingerprint.
      */
     RackConfig rack;
 
@@ -183,6 +183,22 @@ struct WorkloadSpec
     std::uint64_t seed = 1;
 };
 
+/** What a run derives from its WorkloadSpec. */
+struct DerivedSpec
+{
+    /** Mean service time and distribution name (the AC model's
+     *  inputs). */
+    double meanService = 0.0;
+    std::string distName;
+    Tick slo = 0;
+    /** Requests issued (trace length or spec.requests). */
+    std::uint64_t total = 0;
+    /** Completions ignored before stats record, run-wide. */
+    std::uint64_t warmup = 0;
+};
+
+DerivedSpec deriveSpec(const WorkloadSpec &spec);
+
 /** Per-request outcome captured when capturePerRequest is set. */
 struct RequestOutcome
 {
@@ -254,11 +270,11 @@ struct RunResult
     std::uint64_t traceRecords = 0;
     std::uint64_t traceDropped = 0;
 
-    /** Rack extras: servers in the topology (1 = classic world),
-     *  ToR dispatch decisions and ToR-level sheds (requests arriving
-     *  with every server dead). The headline counters above are
-     *  rack-wide sums on a federated run; perServer carries each
-     *  server's slice (empty on the classic path). */
+    /** Rack extras: servers in the topology, ToR dispatch decisions
+     *  and ToR-level sheds (requests arriving with every server
+     *  dead); both stay zero for one server. The headline counters
+     *  above are rack-wide sums (accumulate); perServer carries each
+     *  server's slice when there is more than one. */
     unsigned rackServers = 1;
     std::uint64_t torDispatched = 0;
     std::uint64_t torShed = 0;
@@ -292,6 +308,15 @@ struct RunResult
     {
         return latency.p99 <= sloTarget;
     }
+
+    /**
+     * Add @p srv's counters to the run's totals: completions, sheds,
+     * drops, predictions, fail-stop and AC protocol counters,
+     * messaging, injected faults and trace records. Latency,
+     * utilization and the fingerprint are not counters and stay with
+     * the caller.
+     */
+    void accumulate(const Server &srv);
 };
 
 /**
@@ -306,8 +331,11 @@ makeScheduler(const DesignConfig &cfg, Tick mean_service,
 net::Nic::Config nicConfigFor(const DesignConfig &cfg);
 
 /**
- * Build a ready-to-run server for a design (callers that need custom
- * injection, e.g. the MICA benches, use this directly).
+ * Build a ready-to-run server for a design: the one recipe behind
+ * every server, bare or in a rack. Callers that need custom
+ * injection (the MICA runner, fig09, unit tests) use it directly; a
+ * Rack passes its kernel @p region and the server's @p server_id.
+ * A null @p region gives the server a private kernel.
  */
 std::unique_ptr<Server>
 makeServer(const DesignConfig &cfg, Tick mean_service,
@@ -315,19 +343,28 @@ makeServer(const DesignConfig &cfg, Tick mean_service,
            std::uint64_t warmup, std::uint64_t seed,
            const sim::FaultSpec &faults = {},
            bool log_latency_histogram = false,
-           const trace::TraceConfig &tracing = {});
+           const trace::TraceConfig &tracing = {},
+           sim::Simulator *region = nullptr, unsigned server_id = 0);
+
+class Rack;
 
 /**
- * Open-loop load generator: injects sampled or trace-replayed
- * requests into a server.
+ * Open-loop load generator: draws sampled or trace-replayed requests
+ * in wire form and hands them to a rack (ToR pick, then delivery) or
+ * straight to a bare server.
+ *
+ * Per request the draws come in a fixed order: the ToR pick, then the
+ * service sample, then the connection, then the decorator. A request
+ * the ToR sheds draws nothing from the workload stream.
  */
 class LoadGenerator
 {
   public:
     /** Extra per-request setup (e.g. MICA key sampling). */
-    using Decorator = std::function<void(net::Rpc &, Rng &)>;
+    using Decorator = std::function<void(net::WireRpc &, Rng &)>;
 
     LoadGenerator(Server &server, const WorkloadSpec &spec);
+    LoadGenerator(Rack &rack, const WorkloadSpec &spec);
 
     void setDecorator(Decorator fn) { decorate_ = std::move(fn); }
 
@@ -337,9 +374,20 @@ class LoadGenerator
     std::uint64_t injected() const { return injected_; }
 
   private:
+    LoadGenerator(Rack *rack, Server &server, sim::Simulator &sim,
+                  const WorkloadSpec &spec);
+
+    /** Target server of the next request, or -1: shed at the ToR. */
+    int place();
+
+    /** Decorate a placed request and hand it to server @p s. */
+    void send(int s, net::WireRpc &w);
+
     void injectNext();
 
-    Server &server_;
+    Rack *rack_;     //!< null: requests go straight to server_
+    Server &server_; //!< the bare server, or the rack's server 0
+    sim::Simulator &sim_;
     const WorkloadSpec &spec_;
     Rng rng_;
     std::unique_ptr<workload::ArrivalProcess> arrivals_;
@@ -348,7 +396,10 @@ class LoadGenerator
     Tick nextArrival_ = 0;
 };
 
-/** Run one complete experiment and collect metrics. */
+/**
+ * Run one complete experiment and collect metrics. Every topology,
+ * one server included, runs as a Rack (system/rack.hh).
+ */
 RunResult runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec);
 
 } // namespace altoc::system

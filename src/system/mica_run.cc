@@ -81,8 +81,8 @@ runMicaExperiment(const MicaRunConfig &cfg)
     spec.connections = cfg.connections;
     spec.seed = cfg.seed;
     LoadGenerator gen(*server, spec);
-    gen.setDecorator([&handler](net::Rpc &r, Rng &rng) {
-        handler.sampleRequest(r, rng);
+    gen.setDecorator([&handler](net::WireRpc &w, Rng &rng) {
+        handler.sampleRequest(w, rng);
     });
     gen.start();
     const Tick end = server->run();
@@ -97,14 +97,8 @@ runMicaExperiment(const MicaRunConfig &cfg)
     result.sloTarget = slo;
     result.violationRatio = server->tracker().violationRatio();
     result.violations = server->tracker().violations();
-    result.completed = server->completed();
     result.utilization = server->workerUtilization();
-    result.predictions = server->predictions();
-    if (auto *group = dynamic_cast<const core::GroupScheduler *>(
-            &server->scheduler())) {
-        result.migrated = group->requestsMigrated();
-        result.messaging = group->messagingStats();
-    }
+    result.accumulate(*server);
 
     out.gets = handler.gets();
     out.sets = handler.sets();

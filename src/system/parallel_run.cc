@@ -31,9 +31,10 @@ fitJobsToHost(const std::vector<RunJob> &batch, unsigned jobs)
 {
     unsigned maxShards = 1;
     for (const RunJob &job : batch) {
-        // Only a federated rack can actually shard; a classic run's
-        // cfg.shards is informational (runExperiment logs and runs
-        // serial), so it must not shrink the batch's parallelism.
+        // Only a federated rack can actually shard; a single server's
+        // cfg.shards is informational (Rack::resolveShards logs and
+        // runs serial), so it must not shrink the batch's
+        // parallelism.
         if (job.cfg.rack.servers > 1 && job.cfg.shards > 1) {
             maxShards = std::max(
                 maxShards,

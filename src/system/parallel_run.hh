@@ -11,10 +11,10 @@
  * running the same jobs serially, for any job count. Verified by
  * tests/test_parallel_run.cc via RunResult::fingerprint.
  *
- * Topology flows through the pair untouched: a job whose
- * DesignConfig::rack names several servers builds its private Rack
- * (one shared Simulator, N Server instances) inside the worker, so
- * rack runs batch and fingerprint-match exactly like classic runs
+ * Topology flows through the pair untouched: every job builds its
+ * private Rack (one multi-region kernel, DesignConfig::rack.servers
+ * Server instances) inside the worker, so rack runs batch and
+ * fingerprint-match exactly like single-server runs
  * (tests/test_rack.cc, RackDeterminism.ParallelBatchMatchesSerial).
  *
  * Threading rules for job code (see DESIGN.md "Parallel execution

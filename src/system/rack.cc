@@ -1,18 +1,14 @@
 /**
  * @file
- * Rack federation implementation: construction, the ToR dispatcher,
- * the rack-side load generator and runRackExperiment.
+ * Rack federation implementation: construction and the ToR
+ * dispatcher.
  */
 
 #include "system/rack.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <thread>
 
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "sim/fault_injector.hh"
 
 namespace altoc::system {
 
@@ -53,40 +49,12 @@ namespace {
  *  stream (never drawn when servers == 1). */
 constexpr std::uint64_t kTorSeedSalt = 0x70f25eed;
 
-/** Per-server seed/identity fold; identity for server 0 so the N=1
- *  rack reproduces the classic world bit-for-bit. */
+/** Per-server seed/identity fold; identity for server 0 so server 0
+ *  of any rack is seeded exactly like a bare server. */
 constexpr std::uint64_t
 serverSalt(unsigned server)
 {
     return server * 0x9e3779b97f4a7c15ull;
-}
-
-/** The (mean service, slo, total, warmup) every driver derives from a
- *  WorkloadSpec; shared by the ctor and runRackExperiment so the two
- *  can never disagree. */
-struct DerivedSpec
-{
-    double meanService = 0.0;
-    std::string distName;
-    Tick slo = 0;
-    std::uint64_t total = 0;
-    std::uint64_t warmup = 0;
-};
-
-DerivedSpec
-derive(const WorkloadSpec &spec)
-{
-    DerivedSpec d;
-    d.meanService =
-        spec.trace ? spec.trace->meanService() : spec.service->mean();
-    d.distName = spec.trace ? "Fixed" : spec.service->name();
-    d.slo = spec.sloAbsolute
-                ? *spec.sloAbsolute
-                : static_cast<Tick>(spec.sloFactor * d.meanService);
-    d.total = spec.trace ? spec.trace->size() : spec.requests;
-    d.warmup = static_cast<std::uint64_t>(
-        spec.warmupFraction * static_cast<double>(d.total));
-    return d;
 }
 
 } // namespace
@@ -110,34 +78,21 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
               maxScoped, rack_.servers);
     }
 
-    const DerivedSpec d = derive(spec);
-    const std::uint64_t perWarmup =
-        rack_.servers == 1 ? d.warmup : d.warmup / rack_.servers;
+    const DerivedSpec d = deriveSpec(spec);
 
     // Region topology: server s lives in kernel region s; a
     // federation adds one more region for the ToR (arrivals, pick
     // decisions, link departures). Region indices are the canonical
     // tie-break order, so server events at a tick dispatch before
     // the ToR's. With one server the ToR shares region 0 and the
-    // kernel degenerates to the classic single-Simulator world.
+    // kernel degenerates to a single Simulator.
     servers_.reserve(rack_.servers);
     for (unsigned s = 0; s < rack_.servers; ++s) {
-        sim::Simulator &region = kernel_.addRegion();
-        Server::Config scfg;
-        scfg.cores = cfg_.cores;
-        scfg.nic = nicConfigFor(cfg_);
-        scfg.sloTarget = d.slo;
-        scfg.warmup = perWarmup;
-        scfg.seed = spec.seed ^ serverSalt(s);
-        scfg.serverId = s;
-        scfg.faults = spec.faults.forServer(s);
-        scfg.logLatencyHistogram = spec.logLatencyHistogram;
-        scfg.trace = spec.tracing;
-        servers_.push_back(std::make_unique<Server>(
-            scfg,
-            makeScheduler(cfg_, static_cast<Tick>(d.meanService),
-                          d.distName),
-            &region));
+        servers_.push_back(makeServer(
+            cfg_, static_cast<Tick>(d.meanService), d.distName, d.slo,
+            d.warmup / rack_.servers, spec.seed ^ serverSalt(s),
+            spec.faults.forServer(s), spec.logLatencyHistogram,
+            spec.tracing, &kernel_.addRegion(), s));
     }
     if (rack_.servers == 1) {
         torSim_ = &kernel_.region(0);
@@ -169,7 +124,7 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     // state is shard-confined by construction; the kernel folds
     // per-region violation counts together at window boundaries
     // (Kernel::reconcileAudit) and settle() panics per server. For
-    // one server this is exactly the classic wiring.
+    // one server this is exactly a bare server's wiring.
     for (auto &srv : servers_) {
         if (core::InvariantAuditor *a = srv->auditor())
             srv->sim().setAuditor(a);
@@ -180,11 +135,9 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
 Rack::~Rack() = default;
 
 ALTOC_HOT int
-Rack::pickServer()
+Rack::torPick()
 {
     const unsigned n = numServers();
-    if (n == 1)
-        return 0;
     if (liveServers_ == 0)
         return -1;
     switch (rack_.policy) {
@@ -251,14 +204,8 @@ Rack::nextLive(unsigned start) const
 }
 
 void
-Rack::deliver(unsigned s, const net::WireRpc &w)
+Rack::torDeliver(unsigned s, const net::WireRpc &w)
 {
-    if (numServers() == 1) {
-        // The N=1 rack is the classic world: straight into the
-        // server, no ToR event, no link pacing, no trace record.
-        servers_[0]->injectWire(w);
-        return;
-    }
     ++torDispatched_;
     ALTOC_TRACE_HOOK(
         torTracer_.get(),
@@ -306,6 +253,10 @@ Rack::noteCoreDeath(unsigned s)
 void
 Rack::stopAfterCompletions(std::uint64_t n)
 {
+    if (numServers() == 1) {
+        servers_[0]->stopAfterCompletions(n);
+        return;
+    }
     for (auto &srv : servers_)
         srv->stopAfterSharedCompletions(&sharedDone_, n);
 }
@@ -460,6 +411,10 @@ Rack::writeTrace(const std::string &path) const
 void
 Rack::dumpStats(std::FILE *out) const
 {
+    if (numServers() == 1) {
+        servers_[0]->dumpStats(out);
+        return;
+    }
     if (out == nullptr)
         out = stdout;
     auto line = [out](const char *name, double value) {
@@ -487,441 +442,6 @@ Rack::dumpStats(std::FILE *out) const
         servers_[s]->dumpStatsBody(out, prefix);
     }
     std::fprintf(out, "---------- End Simulation Statistics ----------\n");
-}
-
-// ---------------------------------------------------------------------
-// Rack-side load generator
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * The open-loop generator of experiment.cc, retargeted at a rack:
- * every arrival asks the ToR for a placement, fills a wire-form
- * descriptor, and hands it to Rack::deliver (which materializes the
- * Rpc inside the receiving server's region -- pool operations never
- * cross a region boundary). Field-fill and RNG-draw order replicate
- * LoadGenerator exactly, so the N=1 rack consumes an identical
- * random stream and schedules an identical event sequence.
- */
-class RackLoadGenerator
-{
-  public:
-    RackLoadGenerator(Rack &rack, const WorkloadSpec &spec)
-        : rack_(rack), spec_(spec),
-          rng_(rack.server(0).forkRng(spec.seed))
-    {
-        if (spec_.trace == nullptr) {
-            altoc_assert(spec_.service != nullptr,
-                         "workload needs a service distribution or a "
-                         "trace");
-            const double rate = spec_.rateMrps * 1e-3; // requests/ns
-            if (spec_.realWorldArrivals) {
-                arrivals_ = workload::makeRealWorld(
-                    rate, static_cast<Tick>(spec_.service->mean()));
-            } else {
-                arrivals_ = workload::makePoisson(rate);
-            }
-        }
-    }
-
-    void
-    start()
-    {
-        if (spec_.trace != nullptr) {
-            const auto &recs = spec_.trace->records();
-            for (std::uint64_t i = 0; i < recs.size(); ++i) {
-                const workload::TraceRecord &rec = recs[i];
-                rack_.sim().at(rec.arrival, [this, i, &rec] {
-                    const int s = rack_.pickServer();
-                    ++injected_;
-                    if (s < 0) {
-                        rack_.shedAtTor(i);
-                        return;
-                    }
-                    net::WireRpc w;
-                    w.id = i;
-                    w.service = rec.service;
-                    w.kind = rec.kind;
-                    w.conn = rec.conn;
-                    w.sizeBytes = rec.sizeBytes;
-                    w.key = rec.key;
-                    w.homeGroup = rec.homeGroup;
-                    rack_.deliver(static_cast<unsigned>(s), w);
-                });
-            }
-            return;
-        }
-        nextArrival_ = arrivals_->nextGap(rng_);
-        rack_.sim().at(nextArrival_, [this] { injectNext(); });
-    }
-
-    std::uint64_t injected() const { return injected_; }
-
-  private:
-    void
-    injectNext()
-    {
-        const int s = rack_.pickServer();
-        if (s >= 0) {
-            net::WireRpc w;
-            w.id = injected_;
-            const workload::ServiceSample smp =
-                spec_.service->sample(rng_);
-            w.service = smp.service;
-            w.kind = smp.kind;
-            w.conn = static_cast<std::uint32_t>(
-                rng_.below(spec_.connections));
-            w.sizeBytes = spec_.requestBytes;
-            ++injected_;
-            rack_.deliver(static_cast<unsigned>(s), w);
-        } else {
-            // Every server is dead: shed at the ToR without drawing
-            // the workload samples the request would have carried.
-            rack_.shedAtTor(injected_);
-            ++injected_;
-        }
-
-        if (injected_ < spec_.requests) {
-            nextArrival_ += arrivals_->nextGap(rng_);
-            rack_.sim().at(nextArrival_, [this] { injectNext(); });
-        }
-    }
-
-    Rack &rack_;
-    const WorkloadSpec &spec_;
-    Rng rng_;
-    std::unique_ptr<workload::ArrivalProcess> arrivals_;
-    std::uint64_t injected_ = 0;
-    Tick nextArrival_ = 0;
-};
-
-/**
- * One observation (completion or fault event) in a server's private
- * log. Appended only from the region's own executing thread --
- * thread-confined under sharding -- and merged after the run in
- * ascending (tick, server, log position) order, which is exactly the
- * kernel's canonical dispatch order restricted to observation
- * points. Serial and sharded runs therefore replay byte-identical
- * digest, tracker and capture streams by construction.
- */
-struct ObsRec
-{
-    Tick now = 0;
-    std::uint64_t id = 0;   //!< completion: rpc id; fault: arg a
-    Tick latency = 0;       //!< completion only
-    std::uint32_t aux = 0;  //!< fault: arg b
-    std::uint16_t kind = 0; //!< RequestKind / FaultInjector::Kind
-    std::uint16_t core = 0; //!< completion: executing core id
-    std::uint8_t type = 0;  //!< 0 = completion, 1 = fault event
-    bool migrated = false;
-    bool predicted = false;
-};
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// runRackExperiment
-// ---------------------------------------------------------------------
-
-RunResult
-runRackExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
-{
-    const DerivedSpec d = derive(spec);
-
-    Rack rack(cfg, spec);
-    const unsigned n = rack.numServers();
-    rack.reserveFor(d.total);
-    rack.stopAfterCompletions(d.total);
-
-    RunResult result;
-    result.rackServers = n;
-
-    // Rack-wide latency aggregation. The warmup gate counts
-    // completions rack-wide, so for n == 1 the sample stream matches
-    // the server's own tracker.
-    struct Agg
-    {
-        stats::SloTracker tracker;
-        std::uint64_t seen = 0;
-        std::uint64_t warmup = 0;
-        RunResult *result = nullptr;
-        bool capture = false;
-
-        Agg(Tick slo, bool log) : tracker(slo, log) {}
-    };
-    Agg agg(d.slo, spec.logLatencyHistogram);
-    agg.tracker.reserve(static_cast<std::size_t>(d.total));
-    agg.warmup = d.warmup;
-    agg.result = &result;
-    agg.capture = spec.capturePerRequest;
-    if (agg.capture)
-        result.perRequest.reserve(d.total);
-
-    // Completion-stream digest, same scheme as runExperiment; a
-    // federation additionally mixes the server index (core ids are
-    // per-server).
-    struct Fp
-    {
-        Fnv1a fp;
-        std::uint64_t events = 0;
-    };
-    Fp fpc;
-
-    // Observation wiring. One server keeps the classic direct hooks
-    // -- aggregation happens inside the completion callbacks, in
-    // event order, exactly as runExperiment does (the bit-identity
-    // anchor). A federation instead appends to per-server logs
-    // (thread-confined under sharding) and replays the merged stream
-    // after the run; both the serial and the sharded kernel produce
-    // the same logs, so every derived statistic agrees bit-for-bit.
-    std::vector<std::vector<ObsRec>> obs;
-    if (n == 1) {
-        rack.server(0).setCompletionHook(
-            [&agg](const net::Rpc &r, Tick latency) {
-                if (++agg.seen > agg.warmup)
-                    agg.tracker.record(latency);
-                if (agg.capture) {
-                    agg.result->perRequest.push_back(RequestOutcome{
-                        r.id, latency, r.migrated,
-                        r.predictedViolation});
-                }
-            });
-        rack.server(0).setCompletionProbe(
-            [&fpc](const cpu::Core &core, const net::Rpc &r,
-                   Tick now) {
-                fpc.fp.mix(now);
-                fpc.fp.mix(static_cast<std::uint64_t>(r.kind));
-                fpc.fp.mix(core.id());
-                fpc.fp.mix(r.id);
-                ++fpc.events;
-            });
-        if (sim::FaultInjector *fi = rack.server(0).faultInjector()) {
-            fi->setEventHook([&fpc](sim::FaultInjector::Kind kind,
-                                    Tick now, unsigned a, unsigned b) {
-                fpc.fp.mix(now);
-                fpc.fp.mix(0xFA000000ull +
-                           static_cast<std::uint64_t>(kind));
-                fpc.fp.mix(a);
-                fpc.fp.mix(b);
-                ++fpc.events;
-            });
-        }
-    } else {
-        obs.resize(n);
-        for (auto &log : obs) {
-            log.reserve(static_cast<std::size_t>(
-                d.total / n + d.total / (2 * n) + 1024));
-        }
-        for (unsigned s = 0; s < n; ++s) {
-            std::vector<ObsRec> *log = &obs[s];
-            // The probe fires first in onRpcDone and opens the
-            // record; the hook fires later in the same call and
-            // completes it -- nothing can append in between.
-            rack.server(s).setCompletionProbe(
-                [log](const cpu::Core &core, const net::Rpc &r,
-                      Tick now) {
-                    ObsRec o;
-                    o.now = now;
-                    o.id = r.id;
-                    o.kind = static_cast<std::uint16_t>(r.kind);
-                    o.core = static_cast<std::uint16_t>(core.id());
-                    log->push_back(o);
-                });
-            rack.server(s).setCompletionHook(
-                [log](const net::Rpc &r, Tick latency) {
-                    ObsRec &o = log->back();
-                    o.latency = latency;
-                    o.migrated = r.migrated;
-                    o.predicted = r.predictedViolation;
-                });
-            if (sim::FaultInjector *fi =
-                    rack.server(s).faultInjector()) {
-                fi->setEventHook(
-                    [log](sim::FaultInjector::Kind kind, Tick now,
-                          unsigned a, unsigned b) {
-                        ObsRec o;
-                        o.now = now;
-                        o.type = 1;
-                        o.kind = static_cast<std::uint16_t>(kind);
-                        o.id = a;
-                        o.aux = b;
-                        log->push_back(o);
-                    });
-            }
-        }
-    }
-
-    RackLoadGenerator gen(rack, spec);
-    const unsigned shards = rack.resolveShards(cfg.shards);
-    gen.start();
-    Tick end = 0;
-    if (shards > 1) {
-        // Stay parallel only while arrivals are still pending: a
-        // request injected during a window cannot complete within it
-        // (delivery alone costs a full window), so the completion
-        // threshold can only be crossed in the serial tail and the
-        // stop lands on exactly the event it would serially.
-        end = rack.runSharded(
-            shards, spec.timeLimit,
-            sim::Kernel::ParallelGate([&gen, total = d.total] {
-                return gen.injected() < total;
-            }));
-    } else {
-        end = rack.run(spec.timeLimit);
-    }
-
-    if (n > 1) {
-        // Replay the merged observation stream in ascending (tick,
-        // server, log position) order -- the canonical dispatch
-        // order restricted to observation points.
-        std::vector<std::size_t> pos(n, 0);
-        for (;;) {
-            unsigned best = n;
-            Tick bw = kTickInf;
-            for (unsigned s = 0; s < n; ++s) {
-                if (pos[s] < obs[s].size() &&
-                    obs[s][pos[s]].now < bw) {
-                    bw = obs[s][pos[s]].now;
-                    best = s;
-                }
-            }
-            if (best == n)
-                break;
-            const ObsRec &o = obs[best][pos[best]++];
-            if (o.type == 0) {
-                fpc.fp.mix(o.now);
-                fpc.fp.mix(static_cast<std::uint64_t>(o.kind));
-                fpc.fp.mix(o.core);
-                fpc.fp.mix(o.id);
-                fpc.fp.mix(best);
-                ++fpc.events;
-                if (++agg.seen > agg.warmup)
-                    agg.tracker.record(o.latency);
-                if (agg.capture) {
-                    agg.result->perRequest.push_back(RequestOutcome{
-                        o.id, o.latency, o.migrated, o.predicted});
-                }
-            } else {
-                fpc.fp.mix(o.now);
-                fpc.fp.mix(0xFA000000ull +
-                           static_cast<std::uint64_t>(o.kind));
-                fpc.fp.mix(o.id);
-                fpc.fp.mix(o.aux);
-                fpc.fp.mix(best);
-                ++fpc.events;
-            }
-        }
-    }
-
-    // Conservation only holds once everything in flight finished; a
-    // run stopped early legitimately leaves live descriptors behind.
-    if (rack.idle())
-        rack.checkConservation(gen.injected());
-
-    result.design = rack.server(0).scheduler().name();
-    result.offeredMrps =
-        spec.trace ? spec.trace->offeredRate() * 1e3 : spec.rateMrps;
-    result.achievedMrps =
-        end > 0 ? static_cast<double>(rack.completedTotal()) /
-                      static_cast<double>(end) * 1e3
-                : 0.0;
-    result.latency = agg.tracker.summary();
-    result.sloTarget = d.slo;
-    result.violationRatio = agg.tracker.violationRatio();
-    result.violations = agg.tracker.violations();
-    result.completed = rack.completedTotal();
-    result.utilization = rack.workerUtilization();
-    result.requestsShed = rack.requestsShedTotal();
-    result.torDispatched = rack.torDispatched();
-    result.torShed = rack.torShed();
-    result.fingerprint = fpc.fp.digest();
-    result.fingerprintEvents = fpc.events;
-    result.parallelWindows = rack.kernel().parallelWindows();
-
-    for (unsigned s = 0; s < n; ++s) {
-        const Server &srv = rack.server(s);
-        result.predictions.predicted += srv.predictions().predicted;
-        result.predictions.truePositives +=
-            srv.predictions().truePositives;
-        result.predictions.falsePositives +=
-            srv.predictions().falsePositives;
-        result.predictions.actualViolations +=
-            srv.predictions().actualViolations;
-        result.dropped += srv.dropped();
-        result.coresKilled += srv.scheduler().coresDead();
-        result.requestsRescued += srv.scheduler().requestsRescued();
-        result.managersFailedOver +=
-            srv.scheduler().managersFailedOver();
-        if (const auto *group =
-                dynamic_cast<const core::GroupScheduler *>(
-                    &srv.scheduler())) {
-            result.migrated += group->requestsMigrated();
-            result.migratesRetried += group->migratesRetried();
-            result.migratesTimedOut += group->migratesTimedOut();
-            result.peersQuarantined += group->peersQuarantined();
-            result.peersDeadDeclared += group->peersDeadDeclared();
-            const core::MessagingStats &ms = group->messagingStats();
-            core::MessagingStats &agg_ms = result.messaging;
-            agg_ms.migratesSent += ms.migratesSent;
-            agg_ms.migratesAcked += ms.migratesAcked;
-            agg_ms.migratesNacked += ms.migratesNacked;
-            agg_ms.migratesTimedOut += ms.migratesTimedOut;
-            agg_ms.staleMigratesDiscarded += ms.staleMigratesDiscarded;
-            agg_ms.descriptorsSent += ms.descriptorsSent;
-            agg_ms.descriptorsDelivered += ms.descriptorsDelivered;
-            agg_ms.descriptorsReturned += ms.descriptorsReturned;
-            agg_ms.updatesSent += ms.updatesSent;
-            agg_ms.sendsRefused += ms.sendsRefused;
-            agg_ms.bytesOnNoc += ms.bytesOnNoc;
-            agg_ms.migratesToDead += ms.migratesToDead;
-        }
-        if (const sim::FaultInjector *fi = srv.faultInjector())
-            result.faultsInjected += fi->counters().total();
-        if (const trace::Tracer *tr = srv.tracer()) {
-            result.traceRecords += tr->totalWritten();
-            result.traceDropped += tr->totalDropped();
-        }
-    }
-    if (const trace::Tracer *tor = rack.torTracer()) {
-        result.traceRecords += tor->totalWritten();
-        result.traceDropped += tor->totalDropped();
-    }
-
-    if (n > 1) {
-        result.perServer.reserve(n);
-        for (unsigned s = 0; s < n; ++s) {
-            const Server &srv = rack.server(s);
-            PerServerResult ps;
-            ps.completed = srv.completed();
-            ps.dropped = srv.dropped();
-            ps.requestsShed = srv.requestsShed();
-            ps.coresKilled = srv.scheduler().coresDead();
-            ps.requestsRescued = srv.scheduler().requestsRescued();
-            ps.managersFailedOver =
-                srv.scheduler().managersFailedOver();
-            ps.latency = srv.tracker().summary();
-            ps.utilization = srv.workerUtilization();
-            ps.dead = rack.serverDead(s);
-            if (const auto *group =
-                    dynamic_cast<const core::GroupScheduler *>(
-                        &srv.scheduler()))
-                ps.migrated = group->requestsMigrated();
-            result.perServer.push_back(ps);
-        }
-    }
-
-    if (spec.dumpStats) {
-        if (n == 1)
-            rack.server(0).dumpStats();
-        else
-            rack.dumpStats();
-    }
-    if (rack.server(0).tracer() != nullptr &&
-        !spec.tracing.file.empty()) {
-        altoc_assert(rack.writeTrace(), "failed to write trace file");
-    }
-    return result;
 }
 
 } // namespace altoc::system

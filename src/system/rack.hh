@@ -29,12 +29,14 @@
  * downgraded to the serial kernel by resolveShards(), with a log
  * line, rather than silently changing results.
  *
- * Determinism contract: with servers == 1 the Rack adds nothing to
- * the world -- no ToR RNG draw, no link event, no extra trace ring,
- * one kernel region whose run() delegates to the classic
+ * A single server is a rack of one: runExperiment drives every
+ * topology through this class. With servers == 1 the Rack adds
+ * nothing to the world -- no ToR RNG draw, no link event, no extra
+ * trace ring, one kernel region whose run() delegates to
  * Simulator::run -- so the (tick, seq) event stream, and therefore
- * every pre-rack golden, fingerprint and trace file, is reproduced
- * bit-for-bit. tests/test_rack.cc pins this.
+ * every golden, fingerprint and trace file, is the one a bare
+ * makeServer + LoadGenerator run produces. tests/test_rack.cc pins
+ * this.
  *
  * Fail-stop handling: a server whose last worker core dies is
  * declared dead (TraceKind::ServerDead) and the ToR stops steering to
@@ -69,10 +71,9 @@ class Rack
   public:
     /**
      * Build the rack described by @p cfg (server shape + cfg.rack
-     * topology) for workload @p spec. Server 0 is constructed with
-     * exactly the configuration makeServer would produce, so an N=1
-     * rack is the classic single-server world. Panics when the fault
-     * spec scopes past the topology.
+     * topology) for workload @p spec. Every server is built by
+     * makeServer, so server 0 of a rack of one is a bare server.
+     * Panics when the fault spec scopes past the topology.
      */
     Rack(const DesignConfig &cfg, const WorkloadSpec &spec);
     ~Rack();
@@ -86,7 +87,7 @@ class Rack
 
     /** The ToR's own kernel region (arrival events, dispatch
      *  decisions, link departures live here). With one server it is
-     *  that server's region -- the classic single-clock world. */
+     *  that server's region -- a single clock. */
     sim::Simulator &sim() { return *torSim_; }
 
     /** True when every region's queue drained. */
@@ -108,7 +109,11 @@ class Rack
      * ToR). Consumes ToR RNG only for the Random and PowerOfK
      * policies, and only when servers > 1.
      */
-    ALTOC_HOT int pickServer();
+    ALTOC_HOT int
+    pickServer()
+    {
+        return servers_.size() == 1 ? 0 : torPick();
+    }
 
     /**
      * Dispatch the wire-form request @p w to server @p s. With one
@@ -118,12 +123,21 @@ class Rack
      * materializes *in the receiving server's region* (a sharded rack
      * never touches a descriptor pool from a foreign thread).
      */
-    void deliver(unsigned s, const net::WireRpc &w);
+    void
+    deliver(unsigned s, const net::WireRpc &w)
+    {
+        if (servers_.size() == 1)
+            servers_[0]->injectWire(w);
+        else
+            torDeliver(s, w);
+    }
 
     /** Account one request shed at the ToR (all servers dead). */
     void shedAtTor(std::uint64_t rpc_id);
 
-    /** Stop the kernel once @p n requests completed rack-wide. */
+    /** Stop the kernel once @p n requests completed rack-wide (one
+     *  server counts its own completions; a federation shares one
+     *  atomic counter). */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
@@ -138,15 +152,17 @@ class Rack
      *    reproduce;
      *  - fault specs with fail-stops: server death synchronously
      *    updates the ToR's steering state;
-     * and clamps: at most one shard per server (the ToR shares shard
-     * 0), at most the host's hardware concurrency.
+     * and clamps at most one shard per server (the ToR shares shard
+     * 0). There is deliberately no clamp to the host's hardware
+     * concurrency: results are identical at any shard count, and
+     * fitting --jobs x --shards to the host is runMany's job.
      */
     unsigned resolveShards(unsigned requested) const;
 
     /**
      * Sharded run: server s executes on shard s*shards/servers, the
      * ToR on shard 0, windows of the rack link's minimum delivery
-     * time. @p gate as in sim::Kernel::runSharded -- runRackExperiment
+     * time. @p gate as in sim::Kernel::runSharded -- runExperiment
      * passes "arrivals still pending", which provably confines the
      * completion-count stop to the serial tail (DESIGN.md sec. 14).
      * Exact same results as run(); callers should pass a @p shards
@@ -186,19 +202,27 @@ class Rack
 
     /**
      * Write the run's trace to @p path (or the configured trace
-     * file). One server delegates to Server::writeTrace (byte-
-     * identical legacy format); a federation writes the merged
-     * format of trace::writeRackTraceFile.
+     * file). One server delegates to Server::writeTrace (the
+     * single-server format); a federation writes the merged format
+     * of trace::writeRackTraceFile.
      */
     bool writeTrace(const std::string &path = {}) const;
 
     /**
      * Rack stats dump: aggregate counters, then one per-server block
-     * under "serverN." prefixes, inside a single banner pair.
+     * under "serverN." prefixes, inside a single banner pair. One
+     * server delegates to Server::dumpStats.
      */
     void dumpStats(std::FILE *out = nullptr) const;
 
   private:
+    /** pickServer for servers > 1: the ToR policy's decision. */
+    int torPick();
+
+    /** deliver for servers > 1: ToR record, link hop, cross-region
+     *  materialization. */
+    void torDeliver(unsigned s, const net::WireRpc &w);
+
     /** Death notifier for server @p s's cores: declare the server
      *  dead once its last worker is gone. */
     void noteCoreDeath(unsigned s);
@@ -240,19 +264,6 @@ class Rack
      *  of the parallel phase -- DESIGN.md sec. 14). */
     std::atomic<std::uint64_t> sharedDone_{0};
 };
-
-/**
- * Rack counterpart of runExperiment: build a rack, drive the
- * workload through the ToR, aggregate per-server and rack-wide
- * metrics. runExperiment delegates here when cfg.rack.servers > 1;
- * calling it directly with servers == 1 must produce the same
- * RunResult (fingerprint included) as runExperiment -- the refactor's
- * bit-identity anchor, pinned by tests/test_rack.cc. cfg.shards > 1
- * requests sharded execution (resolved against the topology; the
- * RunResult is identical either way).
- */
-RunResult runRackExperiment(const DesignConfig &cfg,
-                            const WorkloadSpec &spec);
 
 } // namespace altoc::system
 

@@ -40,9 +40,8 @@ Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
 #if ALTOC_AUDIT_ENABLED
     if (cfg_.audit) {
         auditor_ = std::make_unique<core::InvariantAuditor>();
-        // The kernel accepts one auditor; with a shared kernel the
-        // rack decides what to attach (server 0's auditor for N=1
-        // bit-identity, a fan-out auditor for N>1).
+        // With a shared kernel the rack attaches each server's
+        // auditor to that server's own region.
         if (ownedSim_ != nullptr)
             sim_.setAuditor(auditor_.get());
     }
@@ -102,12 +101,6 @@ Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
 
 Server::~Server() = default;
 
-net::Rpc *
-Server::makeRpc()
-{
-    return pool_.alloc();
-}
-
 void
 Server::inject(net::Rpc *r)
 {
@@ -131,7 +124,7 @@ Server::inject(net::Rpc *r)
 void
 Server::injectWire(const net::WireRpc &w)
 {
-    net::Rpc *r = makeRpc();
+    net::Rpc *r = pool_.alloc();
     r->id = w.id;
     r->service = w.service;
     r->remaining = w.service;

@@ -49,6 +49,17 @@ struct PredictionStats
     std::uint64_t falsePositives = 0; //!< flagged but met the SLO
     std::uint64_t actualViolations = 0;
 
+    /** Field-wise sum (rack-wide totals). */
+    PredictionStats &
+    operator+=(const PredictionStats &o)
+    {
+        predicted += o.predicted;
+        truePositives += o.truePositives;
+        falsePositives += o.falsePositives;
+        actualViolations += o.actualViolations;
+        return *this;
+    }
+
     /** Correctly predicted violations / total violations (Sec. IV-A). */
     double
     accuracy() const
@@ -71,9 +82,9 @@ class Server : public sched::CompletionSink
         unsigned cores = 16;
         net::Nic::Config nic;
 
-        /** Position of this server in a rack topology (0 for the
-         *  classic single-server world). Only affects labeling (trace
-         *  ring attribution, stats prefixes); never the event
+        /** Position of this server in a rack topology (0 for a bare
+         *  server and for a rack of one). Only affects labeling
+         *  (trace ring attribution, stats prefixes); never the event
          *  stream. */
         unsigned serverId = 0;
 
@@ -122,13 +133,13 @@ class Server : public sched::CompletionSink
     };
 
     /**
-     * @param shared_sim  event kernel to run against. Null (the
-     *        classic case) means the server owns a private kernel;
-     *        a rack passes its one shared kernel so N servers'
-     *        events interleave in (tick, seq) order. Everything
-     *        else about construction is identical, so a server on a
-     *        fresh shared kernel schedules the exact event stream a
-     *        self-owned one would -- the N=1 bit-identity anchor.
+     * @param shared_sim  event kernel to run against. Null (a bare
+     *        server) means the server owns a private kernel; a rack
+     *        passes the server's region of its kernel so N servers'
+     *        events interleave in (tick, region, seq) order.
+     *        Everything else about construction is identical, so a
+     *        server on a fresh region schedules the exact event
+     *        stream a self-owned one would.
      */
     Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
            sim::Simulator *shared_sim = nullptr);
@@ -139,9 +150,6 @@ class Server : public sched::CompletionSink
     noc::Mesh &mesh() { return *mesh_; }
     sched::Scheduler &scheduler() { return *sched_; }
     const sched::Scheduler &scheduler() const { return *sched_; }
-
-    /** Allocate a request descriptor. */
-    net::Rpc *makeRpc();
 
     /**
      * Pre-size the descriptor pool and the latency sample store for a
@@ -155,13 +163,11 @@ class Server : public sched::CompletionSink
         tracker_.reserve(static_cast<std::size_t>(n));
     }
 
-    /** Hand a request to the NIC at the current time. */
-    void inject(net::Rpc *r);
-
-    /** Materialize a descriptor from its wire form and inject it.
-     *  The rack delivery path: allocation happens here, inside the
-     *  receiving server's own kernel region, so a sharded rack never
-     *  touches a pool from a foreign thread. */
+    /** Materialize a descriptor from its wire form and hand it to
+     *  the NIC at the current time: the one way a request enters a
+     *  server. Allocation happens here, inside the receiving
+     *  server's own kernel region, so a sharded rack never touches a
+     *  pool from a foreign thread. */
     void injectWire(const net::WireRpc &w);
 
     /** Install a per-core service resolver (MICA substrate hook). */
@@ -314,6 +320,9 @@ class Server : public sched::CompletionSink
     void dumpStatsBody(std::FILE *out, const char *prefix) const;
 
   private:
+    /** Admit @p r (or shed it under degraded capacity). */
+    void inject(net::Rpc *r);
+
     /** Schedule the spec's scripted kills (kill=, killm=) and arm the
      *  killp window reaper (called once at construction when a fault
      *  injector exists). */
@@ -356,8 +365,9 @@ class Server : public sched::CompletionSink
     std::uint64_t completed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
-    /** Rack-shared completion counter; null in the classic world
-     *  (stopAfter_ then bounds this server's own completions). */
+    /** Rack-shared completion counter; null for a bare server and a
+     *  rack of one (stopAfter_ then bounds this server's own
+     *  completions). */
     std::atomic<std::uint64_t> *sharedDone_ = nullptr;
     /** At least one core has fail-stopped; admission shedding is
      *  armed (see requestsShed()). */

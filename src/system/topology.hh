@@ -43,10 +43,11 @@ const char *torPolicyName(TorPolicy policy);
 TorPolicy torPolicyFromName(std::string_view name);
 
 /**
- * Shape of the rack. servers == 1 (the default) is the classic
- * single-server world: no ToR layer is instantiated, no extra RNG is
- * drawn and no extra events are scheduled, so every single-server
- * golden, fingerprint and trace stays bit-identical.
+ * Shape of the rack. servers == 1 (the default) is a rack of one: no
+ * ToR RNG is drawn, no link event is scheduled and no server index is
+ * mixed into the fingerprint, so a run is bit-identical to a bare
+ * server's and every single-server golden, fingerprint and trace
+ * stays put.
  */
 struct RackConfig
 {

@@ -295,10 +295,10 @@ TEST(MicaHandler, SampleRequestSetsHomeGroup)
     HandlerHarness h;
     Rng rng(5);
     for (int i = 0; i < 200; ++i) {
-        net::Rpc r;
-        h.handler.sampleRequest(r, rng);
-        EXPECT_EQ(r.homeGroup, h.store.partitionOf(r.key));
-        EXPECT_GT(r.remaining, 0u);
+        net::WireRpc w;
+        h.handler.sampleRequest(w, rng);
+        EXPECT_EQ(w.homeGroup, h.store.partitionOf(w.key));
+        EXPECT_GT(w.service, 0u);
     }
 }
 

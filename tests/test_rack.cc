@@ -3,10 +3,11 @@
  * Rack federation suite (system/rack.hh).
  *
  * Three contracts are pinned here:
- *  1. Bit-identity -- an N=1 rack is the classic single-server world:
- *     runRackExperiment(servers=1) reproduces runExperiment's
- *     fingerprint, the checked-in goldens, and byte-identical trace
- *     files.
+ *  1. Bit-identity -- a rack of one is a bare server: runExperiment
+ *     (which runs every topology as a Rack) reproduces the
+ *     fingerprint, counters and trace bytes of a bare makeServer +
+ *     LoadGenerator run, the path the MICA runner, fig09 and the
+ *     unit tests use.
  *  2. Conservation -- on a drained federated run every issued request
  *     either completed on some server, was shed at some server's
  *     admission, or was shed at the ToR; under crash ladders the ToR
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "system/parallel_run.hh"
 #include "system/rack.hh"
 #include "trace/reader.hh"
@@ -46,8 +48,8 @@ bool g_update = false;
 #error "build must define ALTOC_GOLDEN_DIR (see tests/CMakeLists.txt)"
 #endif
 
-/** The golden scenario of test_golden_results.cc, verbatim: the rack
- *  N=1 bit-identity anchor runs the exact same world. */
+/** The golden scenario of test_golden_results.cc, verbatim: the
+ *  single-server bit-identity checks run the exact same world. */
 WorkloadSpec
 goldenSpec()
 {
@@ -120,28 +122,63 @@ readGolden(const char *file)
 // 1. N=1 bit-identity
 // ---------------------------------------------------------------------
 
-/** runRackExperiment with one server reproduces runExperiment
+namespace {
+
+/** The bare-server path: makeServer + LoadGenerator on a private
+ *  kernel, observed the way runExperiment observes one server. Writes
+ *  the trace rings to @p trace_path when tracing is on. */
+RunResult
+runBare(Design d, const WorkloadSpec &spec,
+        const std::string &trace_path = {})
+{
+    const DerivedSpec ds = deriveSpec(spec);
+    auto server = makeServer(goldenConfig(d),
+                             static_cast<Tick>(ds.meanService),
+                             ds.distName, ds.slo, ds.warmup, spec.seed,
+                             spec.faults, spec.logLatencyHistogram,
+                             spec.tracing);
+    server->reserveFor(ds.total);
+    server->stopAfterCompletions(ds.total);
+    bench::RunFingerprint fp;
+    fp.attach(*server);
+    LoadGenerator gen(*server, spec);
+    gen.start();
+    const Tick end = server->run(spec.timeLimit);
+
+    RunResult res;
+    res.accumulate(*server);
+    res.fingerprint = fp.digest();
+    res.fingerprintEvents = fp.events();
+    res.latency = server->tracker().summary();
+    res.violations = server->tracker().violations();
+    res.achievedMrps = end > 0 ? static_cast<double>(res.completed) /
+                                     static_cast<double>(end) * 1e3
+                               : 0.0;
+    if (!trace_path.empty()) {
+        EXPECT_TRUE(server->writeTrace(trace_path));
+    }
+    return res;
+}
+
+} // namespace
+
+/** runExperiment on a rack of one reproduces a bare server
  *  bit-for-bit, for every design the golden suite pins. */
 TEST(RackBitIdentity, SingleServerMatchesClassicPath)
 {
     for (Design d : {Design::Rss, Design::ZygOs, Design::AcInt,
                      Design::AcRss}) {
         const WorkloadSpec spec = goldenSpec();
-        const RunResult classic =
-            runExperiment(goldenConfig(d), spec);
-        const RunResult rack =
-            runRackExperiment(rackConfig(d, 1), spec);
-        EXPECT_EQ(classic.fingerprint, rack.fingerprint)
+        const RunResult bare = runBare(d, spec);
+        const RunResult rack = runExperiment(rackConfig(d, 1), spec);
+        EXPECT_EQ(bare.fingerprint, rack.fingerprint) << designName(d);
+        EXPECT_EQ(bare.fingerprintEvents, rack.fingerprintEvents)
             << designName(d);
-        EXPECT_EQ(classic.fingerprintEvents, rack.fingerprintEvents)
-            << designName(d);
-        EXPECT_EQ(classic.completed, rack.completed) << designName(d);
-        EXPECT_EQ(classic.violations, rack.violations)
-            << designName(d);
-        EXPECT_EQ(classic.latency.p99, rack.latency.p99)
-            << designName(d);
-        EXPECT_EQ(classic.migrated, rack.migrated) << designName(d);
-        EXPECT_DOUBLE_EQ(classic.achievedMrps, rack.achievedMrps)
+        EXPECT_EQ(bare.completed, rack.completed) << designName(d);
+        EXPECT_EQ(bare.violations, rack.violations) << designName(d);
+        EXPECT_EQ(bare.latency.p99, rack.latency.p99) << designName(d);
+        EXPECT_EQ(bare.migrated, rack.migrated) << designName(d);
+        EXPECT_DOUBLE_EQ(bare.achievedMrps, rack.achievedMrps)
             << designName(d);
         // The rack adds nothing to an N=1 world.
         EXPECT_EQ(rack.rackServers, 1u);
@@ -151,60 +188,32 @@ TEST(RackBitIdentity, SingleServerMatchesClassicPath)
     }
 }
 
-/** The N=1 rack also agrees with the checked-in golden files -- the
- *  cross-session anchor that survives both refactor halves. */
-TEST(RackBitIdentity, SingleServerMatchesCheckedInGoldens)
-{
-    const struct
-    {
-        const char *file;
-        Design design;
-    } cases[] = {
-        {"rss_dfcfs", Design::Rss},
-        {"zygos_stealing", Design::ZygOs},
-        {"ac_integrated", Design::AcInt},
-        {"ac_rss", Design::AcRss},
-    };
-    for (const auto &c : cases) {
-        const auto kv = readGolden(c.file);
-        ASSERT_FALSE(kv.empty()) << goldenPath(c.file);
-        const RunResult res =
-            runRackExperiment(rackConfig(c.design, 1), goldenSpec());
-        char fp[32];
-        std::snprintf(fp, sizeof fp, "%016" PRIx64, res.fingerprint);
-        EXPECT_EQ(kv.at("fingerprint"), fp) << c.file;
-        EXPECT_EQ(kv.at("completed"), std::to_string(res.completed))
-            << c.file;
-    }
-}
-
-/** Trace files of the classic and the N=1 rack path are
- *  byte-identical (the rack delegates to Server::writeTrace and the
- *  header keeps coresPerServer == 0). */
+/** runExperiment's trace file for a rack of one is byte-identical to
+ *  a bare server's Server::writeTrace (the rack delegates to it and
+ *  the header keeps coresPerServer == 0). */
 TEST(RackBitIdentity, SingleServerTraceBytesIdentical)
 {
-    const std::string classicPath = tmpPath("classic.trace");
+    const std::string barePath = tmpPath("bare.trace");
     const std::string rackPath = tmpPath("n1.trace");
 
     WorkloadSpec spec = goldenSpec();
     spec.tracing.enabled = true;
-    spec.tracing.file = classicPath;
-    runExperiment(goldenConfig(Design::AcRss), spec);
+    runBare(Design::AcRss, spec, barePath);
 
     spec.tracing.file = rackPath;
-    runRackExperiment(rackConfig(Design::AcRss, 1), spec);
+    runExperiment(rackConfig(Design::AcRss, 1), spec);
 
-    const std::vector<char> classicBytes = slurp(classicPath);
+    const std::vector<char> bareBytes = slurp(barePath);
     const std::vector<char> rackBytes = slurp(rackPath);
-    ASSERT_FALSE(classicBytes.empty());
-    EXPECT_EQ(classicBytes, rackBytes);
+    ASSERT_FALSE(bareBytes.empty());
+    EXPECT_EQ(bareBytes, rackBytes);
 
     trace::TraceFileImage image;
     ASSERT_EQ(trace::readTraceFile(rackPath, image),
               trace::TraceReadStatus::Ok);
     EXPECT_EQ(image.coresPerServer, 0u) << "N=1 files stay legacy";
 
-    std::remove(classicPath.c_str());
+    std::remove(barePath.c_str());
     std::remove(rackPath.c_str());
 }
 
@@ -219,7 +228,7 @@ TEST(RackRun, FourServerPowerOfTwoCompletesAndConserves)
     WorkloadSpec spec = goldenSpec();
     spec.requests = 8000;
     const RunResult res =
-        runRackExperiment(rackConfig(Design::AcInt, 4), spec);
+        runExperiment(rackConfig(Design::AcInt, 4), spec);
 
     EXPECT_EQ(res.rackServers, 4u);
     EXPECT_EQ(res.completed + res.requestsShed + res.torShed,
@@ -246,8 +255,8 @@ TEST(RackRun, AllPoliciesCompleteAndAreDeterministic)
         WorkloadSpec spec = goldenSpec();
         spec.requests = 2000;
         const DesignConfig cfg = rackConfig(Design::Rss, 3, p);
-        const RunResult a = runRackExperiment(cfg, spec);
-        const RunResult b = runRackExperiment(cfg, spec);
+        const RunResult a = runExperiment(cfg, spec);
+        const RunResult b = runExperiment(cfg, spec);
         EXPECT_EQ(a.completed + a.requestsShed, spec.requests)
             << torPolicyName(p);
         EXPECT_EQ(a.fingerprint, b.fingerprint) << torPolicyName(p);
@@ -263,9 +272,9 @@ TEST(RackRun, PoliciesProduceDistinctSchedules)
 {
     WorkloadSpec spec = goldenSpec();
     spec.requests = 2000;
-    const RunResult rr = runRackExperiment(
+    const RunResult rr = runExperiment(
         rackConfig(Design::Rss, 3, TorPolicy::RoundRobin), spec);
-    const RunResult p2c = runRackExperiment(
+    const RunResult p2c = runExperiment(
         rackConfig(Design::Rss, 3, TorPolicy::PowerOfK), spec);
     EXPECT_NE(rr.fingerprint, p2c.fingerprint);
 }
@@ -285,7 +294,7 @@ TEST(RackChaos, ScopedCrashLadderConserves)
         "S1.kill=3@200000,S1.kill=7@250000,S2.kill=5@300000,seed=9");
     spec.timeLimit = 50 * kMs;
 
-    const RunResult res = runRackExperiment(cfg, spec);
+    const RunResult res = runExperiment(cfg, spec);
     EXPECT_EQ(res.completed + res.requestsShed + res.torShed,
               spec.requests);
     EXPECT_EQ(res.coresKilled, 3u);
@@ -316,7 +325,7 @@ TEST(RackChaos, DeadServerIsSteeredAroundAndConserved)
     spec.faults = sim::FaultSpec::parse(ladder + "seed=3");
     spec.timeLimit = 100 * kMs;
 
-    const RunResult res = runRackExperiment(cfg, spec);
+    const RunResult res = runExperiment(cfg, spec);
     EXPECT_EQ(res.completed + res.requestsShed + res.torShed,
               spec.requests);
     ASSERT_EQ(res.perServer.size(), 2u);
@@ -346,7 +355,7 @@ TEST(RackChaos, AllServersDeadShedsAtTor)
     spec.faults = sim::FaultSpec::parse(ladder + "seed=3");
     spec.timeLimit = 100 * kMs;
 
-    const RunResult res = runRackExperiment(cfg, spec);
+    const RunResult res = runExperiment(cfg, spec);
     EXPECT_EQ(res.completed + res.requestsShed + res.torShed,
               spec.requests);
     EXPECT_GT(res.torShed, 0u);
@@ -364,8 +373,8 @@ TEST(RackChaos, CrashRunFingerprintIsStable)
     spec.faults = sim::FaultSpec::parse(
         "S1.kill=3@200000,S3.kill=9@400000,seed=11");
     spec.timeLimit = 50 * kMs;
-    const RunResult a = runRackExperiment(cfg, spec);
-    const RunResult b = runRackExperiment(cfg, spec);
+    const RunResult a = runExperiment(cfg, spec);
+    const RunResult b = runExperiment(cfg, spec);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.fingerprintEvents, b.fingerprintEvents);
 }
@@ -413,7 +422,7 @@ TEST(RackTrace, FederatedFileDecodesAndValidates)
     spec.tracing.ringSlots = 1u << 16; // lossless: validator needs all
     spec.tracing.file = path;
 
-    const RunResult res = runRackExperiment(cfg, spec);
+    const RunResult res = runExperiment(cfg, spec);
     ASSERT_GT(res.traceRecords, 0u);
     ASSERT_EQ(res.traceDropped, 0u);
 
@@ -463,7 +472,7 @@ TEST(RackTrace, ServerDeathIsRecordedAndCausallyClean)
     spec.tracing.ringSlots = 1u << 16;
     spec.tracing.file = path;
 
-    runRackExperiment(cfg, spec);
+    runExperiment(cfg, spec);
 
     trace::TraceFileImage image;
     ASSERT_EQ(trace::readTraceFile(path, image),
@@ -522,7 +531,7 @@ runRackGoldenScenario()
 {
     WorkloadSpec spec = goldenSpec();
     spec.requests = 8000;
-    return runRackExperiment(rackConfig(Design::AcInt, 4), spec);
+    return runExperiment(rackConfig(Design::AcInt, 4), spec);
 }
 
 void

@@ -13,10 +13,11 @@
  *     shardable topology), with the parallel path proven live
  *     (parallelWindows > 0).
  *  2. Raw trace-file byte identity serial vs sharded.
- *  3. Chaos: a drop/delay fault schedule (shardable -- fault draws
- *     are region-private) is shard-invariant, and a kill-bearing
- *     schedule collapses to the serial kernel (parallelWindows == 0)
- *     while still agreeing bit-for-bit.
+ *  3. Chaos: drop/delay and straggle/freeze fault schedules
+ *     (shardable -- fault draws are region-private) are
+ *     shard-invariant, and a kill-bearing schedule collapses to the
+ *     serial kernel (parallelWindows == 0) while still agreeing
+ *     bit-for-bit.
  *  4. Downgrade semantics: load-inspecting ToR policies and N=1
  *     topologies resolve to the serial kernel rather than changing
  *     results.
@@ -62,6 +63,9 @@ shardSpec(std::uint64_t seed = 42)
     spec.rateMrps = 8.0;
     spec.requests = 4000;
     spec.seed = seed;
+    // Serial runs capture from direct hooks, sharded runs from the
+    // log replay; expectIdentical compares the two streams.
+    spec.capturePerRequest = true;
     return spec;
 }
 
@@ -97,6 +101,16 @@ expectIdentical(const RunResult &serial, const RunResult &sharded,
     EXPECT_EQ(serial.migrated, sharded.migrated) << what;
     EXPECT_EQ(serial.requestsShed, sharded.requestsShed) << what;
     EXPECT_EQ(serial.faultsInjected, sharded.faultsInjected) << what;
+    ASSERT_EQ(serial.perRequest.size(), sharded.perRequest.size())
+        << what;
+    for (std::size_t i = 0; i < serial.perRequest.size(); ++i) {
+        const RequestOutcome &a = serial.perRequest[i];
+        const RequestOutcome &b = sharded.perRequest[i];
+        ASSERT_TRUE(a.id == b.id && a.latency == b.latency &&
+                    a.migrated == b.migrated &&
+                    a.predicted == b.predicted)
+            << what << " request " << i;
+    }
     ASSERT_EQ(serial.perServer.size(), sharded.perServer.size())
         << what;
     for (std::size_t s = 0; s < serial.perServer.size(); ++s) {
@@ -124,12 +138,12 @@ TEST(Sharded, FingerprintIdentityMatrix)
     const std::uint64_t seeds[] = {42, 7, 1234567};
     for (Design design : designs) {
         for (std::uint64_t seed : seeds) {
-            const RunResult serial = runRackExperiment(
+            const RunResult serial = runExperiment(
                 shardConfig(design, 1), shardSpec(seed));
             ASSERT_GT(serial.fingerprintEvents, 0u);
             EXPECT_EQ(serial.parallelWindows, 0u);
             for (unsigned shards : {2u, 8u}) {
-                const RunResult sharded = runRackExperiment(
+                const RunResult sharded = runExperiment(
                     shardConfig(design, shards), shardSpec(seed));
                 char what[64];
                 std::snprintf(what, sizeof what,
@@ -150,9 +164,9 @@ TEST(Sharded, FingerprintIdentityMatrix)
 TEST(Sharded, RepeatRunsAgree)
 {
     const RunResult a =
-        runRackExperiment(shardConfig(Design::AcInt, 4), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 4), shardSpec());
     const RunResult b =
-        runRackExperiment(shardConfig(Design::AcInt, 4), shardSpec());
+        runExperiment(shardConfig(Design::AcInt, 4), shardSpec());
     expectIdentical(a, b, "repeat shards=4");
     EXPECT_GT(a.parallelWindows, 0u);
 }
@@ -173,11 +187,11 @@ TEST(Sharded, TraceBytesIdentical)
     spec.tracing.ringSlots = 1u << 16; // lossless
     spec.tracing.file = serialPath;
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
 
     spec.tracing.file = shardedPath;
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 8), spec);
+        runExperiment(shardConfig(Design::AcInt, 8), spec);
 
     expectIdentical(serial, sharded, "traced");
     EXPECT_GT(sharded.parallelWindows, 0u);
@@ -205,12 +219,36 @@ TEST(Sharded, FaultDrawsAreShardInvariant)
         "drop=0.02,dup=0.02,delay=0.1:300,seed=9");
 
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     ASSERT_GT(serial.faultsInjected, 0u);
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 4), spec);
+        runExperiment(shardConfig(Design::AcInt, 4), spec);
     expectIdentical(serial, sharded, "chaos drop/dup/delay");
     EXPECT_GT(sharded.parallelWindows, 0u);
+}
+
+/** Straggle and freeze faults name the start of the slice they
+ *  stretch, which can lie past the tick they are injected at. Serial
+ *  runs observe them at injection; the sharded replay must order them
+ *  the same way. */
+TEST(Sharded, SliceFaultsAreShardInvariant)
+{
+    WorkloadSpec spec = shardSpec();
+    spec.faults =
+        sim::FaultSpec::parse("straggle=0.05:3,freeze=0.02:500,seed=4");
+
+    // Designs whose dispatch pays a handoff delay before the slice
+    // starts (AC workers start at once, so their faults never run
+    // ahead of the clock).
+    for (Design design : {Design::Rss, Design::Shinjuku}) {
+        const RunResult serial =
+            runExperiment(shardConfig(design, 1), spec);
+        ASSERT_GT(serial.faultsInjected, 0u) << designName(design);
+        const RunResult sharded =
+            runExperiment(shardConfig(design, 4), spec);
+        expectIdentical(serial, sharded, designName(design));
+        EXPECT_GT(sharded.parallelWindows, 0u) << designName(design);
+    }
 }
 
 /** A kill-bearing schedule fans server-death state into the ToR, so
@@ -223,9 +261,9 @@ TEST(Sharded, KillSpecCollapsesToSerial)
         sim::FaultSpec::parse("S2.kill=3@100000,drop=0.01,seed=5");
 
     const RunResult serial =
-        runRackExperiment(shardConfig(Design::AcInt, 1), spec);
+        runExperiment(shardConfig(Design::AcInt, 1), spec);
     const RunResult sharded =
-        runRackExperiment(shardConfig(Design::AcInt, 8), spec);
+        runExperiment(shardConfig(Design::AcInt, 8), spec);
     expectIdentical(serial, sharded, "chaos kill");
     EXPECT_EQ(sharded.parallelWindows, 0u);
 }
@@ -241,9 +279,9 @@ TEST(Sharded, OraclePoliciesStaySerial)
 {
     for (TorPolicy policy :
          {TorPolicy::PowerOfK, TorPolicy::LeastLoaded}) {
-        const RunResult serial = runRackExperiment(
+        const RunResult serial = runExperiment(
             shardConfig(Design::AcInt, 1, policy), shardSpec());
-        const RunResult sharded = runRackExperiment(
+        const RunResult sharded = runExperiment(
             shardConfig(Design::AcInt, 8, policy), shardSpec());
         expectIdentical(serial, sharded, torPolicyName(policy));
         EXPECT_EQ(sharded.parallelWindows, 0u)
@@ -259,8 +297,8 @@ TEST(Sharded, SingleServerStaysSerial)
     cfg.rack.servers = 1;
     DesignConfig classic = cfg;
     classic.shards = 1;
-    const RunResult a = runRackExperiment(classic, shardSpec());
-    const RunResult b = runRackExperiment(cfg, shardSpec());
+    const RunResult a = runExperiment(classic, shardSpec());
+    const RunResult b = runExperiment(cfg, shardSpec());
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.fingerprintEvents, b.fingerprintEvents);
     EXPECT_EQ(b.parallelWindows, 0u);

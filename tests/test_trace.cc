@@ -385,7 +385,13 @@ class TraceReject : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = tmpPath("reject.trace");
+        // One file per case: ctest runs the cases as concurrent
+        // processes.
+        const std::string name =
+            std::string("reject_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".trace";
+        path_ = tmpPath(name.c_str());
         Tracer tr(2, 8);
         for (unsigned i = 0; i < 6; ++i)
             tr.record(i, i % 2, TraceKind::MigrateSend,
