@@ -155,16 +155,6 @@ GroupScheduler::deliver(net::Rpc *r, unsigned queue)
     pump(queue);
 }
 
-std::vector<std::size_t>
-GroupScheduler::queueLengths() const
-{
-    std::vector<std::size_t> lens;
-    lens.reserve(groups_.size());
-    for (const Group &grp : groups_)
-        lens.push_back(grp.rx.length());
-    return lens;
-}
-
 const MessagingStats &
 GroupScheduler::messagingStats() const
 {

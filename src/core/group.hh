@@ -112,7 +112,12 @@ class GroupScheduler : public sched::Scheduler
     std::string name() const override;
     unsigned nicQueues() const override { return cfg_.numGroups; }
     void deliver(net::Rpc *r, unsigned queue) override;
-    std::vector<std::size_t> queueLengths() const override;
+    std::size_t numQueues() const override { return groups_.size(); }
+    std::size_t
+    queueLength(std::size_t q) const override
+    {
+        return groups_[q].rx.length();
+    }
     void start() override;
 
     /** Manager cores run the runtime, never request handlers. */

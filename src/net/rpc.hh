@@ -120,6 +120,10 @@ struct WireRpc
 /**
  * Slab pool of Rpc descriptors with an embedded free list.
  *
+ * The pool grows one slab at a time when a request finds the free
+ * list empty, so it holds the peak number of descriptors in flight
+ * (rounded up to a slab); below that peak, alloc/release never touch
+ * the heap.
  * Pointers remain stable for the lifetime of the pool (slabs are
  * never moved), so components may hold raw Rpc* across events.
  */
@@ -154,8 +158,8 @@ class RpcPool
         // A double release corrupts the free list and silently hands
         // the same descriptor to two requests; catch it here while
         // the offender is on the stack. The pooled flag makes the
-        // check O(1) -- a membership scan of the free list would be
-        // quadratic once reserve() pre-sizes it to the request count.
+        // check O(1) -- a membership scan of the free list would cost
+        // a whole slab's worth of pointers per release.
         altoc_assert(outstanding_ > 0,
                      "RpcPool::release underflow (rpc id %llu)",
                      static_cast<unsigned long long>(r->id));
@@ -166,20 +170,6 @@ class RpcPool
 #endif
         free_.push_back(r);
         --outstanding_;
-    }
-
-    /**
-     * Pre-size the pool so @p n descriptors can be outstanding with
-     * no slab growth. runExperiment calls this with the request count
-     * so the warm steady state never touches the allocator.
-     */
-    void
-    reserve(std::size_t n)
-    {
-        if (n > free_.size() + outstanding_)
-            free_.reserve(n);
-        while (free_.size() + outstanding_ < n)
-            grow();
     }
 
     /** Number of descriptors currently allocated. */

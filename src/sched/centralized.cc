@@ -70,12 +70,6 @@ CentralizedScheduler::dispatchOne()
     pump();
 }
 
-std::vector<std::size_t>
-CentralizedScheduler::queueLengths() const
-{
-    return {central_.length()};
-}
-
 void
 CentralizedScheduler::onCompletion(cpu::Core &core, net::Rpc *r)
 {

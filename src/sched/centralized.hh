@@ -53,7 +53,12 @@ class CentralizedScheduler : public Scheduler
     std::string name() const override { return cfg_.label; }
     unsigned nicQueues() const override { return 1; }
     void deliver(net::Rpc *r, unsigned queue) override;
-    std::vector<std::size_t> queueLengths() const override;
+    std::size_t numQueues() const override { return 1; }
+    std::size_t
+    queueLength(std::size_t) const override
+    {
+        return central_.length();
+    }
 
     /** Number of quantum expiries observed. */
     std::uint64_t preemptions() const { return preemptions_; }

@@ -63,14 +63,4 @@ DeadlineDropScheduler::onCompletion(cpu::Core &core, net::Rpc *r)
     tryDispatch(core.id());
 }
 
-std::vector<std::size_t>
-DeadlineDropScheduler::queueLengths() const
-{
-    std::vector<std::size_t> lens;
-    lens.reserve(queues_.size());
-    for (const auto &q : queues_)
-        lens.push_back(q.length());
-    return lens;
-}
-
 } // namespace altoc::sched

@@ -50,7 +50,12 @@ class DeadlineDropScheduler : public Scheduler
     std::string name() const override { return cfg_.label; }
     unsigned nicQueues() const override;
     void deliver(net::Rpc *r, unsigned queue) override;
-    std::vector<std::size_t> queueLengths() const override;
+    std::size_t numQueues() const override { return queues_.size(); }
+    std::size_t
+    queueLength(std::size_t q) const override
+    {
+        return queues_[q].length();
+    }
 
     /** Requests rejected past their budget. */
     std::uint64_t dropped() const { return dropped_; }

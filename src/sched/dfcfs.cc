@@ -124,14 +124,4 @@ DFcfsScheduler::onCoreDeath(unsigned core_id, net::Rpc *orphan)
     dispatchRescued(succ);
 }
 
-std::vector<std::size_t>
-DFcfsScheduler::queueLengths() const
-{
-    std::vector<std::size_t> lens;
-    lens.reserve(queues_.size());
-    for (const auto &q : queues_)
-        lens.push_back(q.length());
-    return lens;
-}
-
 } // namespace altoc::sched

@@ -45,7 +45,12 @@ class DFcfsScheduler : public Scheduler
     std::string name() const override { return cfg_.label; }
     unsigned nicQueues() const override;
     void deliver(net::Rpc *r, unsigned queue) override;
-    std::vector<std::size_t> queueLengths() const override;
+    std::size_t numQueues() const override { return queues_.size(); }
+    std::size_t
+    queueLength(std::size_t q) const override
+    {
+        return queues_[q].length();
+    }
 
     /** Fail-stop recovery: the NIC re-steers the dead core's flows
      *  to the next live core, which also adopts its backlog. */

@@ -127,20 +127,6 @@ JbsqScheduler::onCompletion(cpu::Core &core, net::Rpc *r)
     fill(domainOf(core.id()));
 }
 
-std::vector<std::size_t>
-JbsqScheduler::queueLengths() const
-{
-    // Central queues first (one per domain); per-core local queues
-    // follow.
-    std::vector<std::size_t> lens;
-    lens.reserve(local_.size() + central_.size());
-    for (const auto &c : central_)
-        lens.push_back(c.length());
-    for (const auto &q : local_)
-        lens.push_back(q.size());
-    return lens;
-}
-
 void
 JbsqScheduler::onPreempt(cpu::Core &core, net::Rpc *r)
 {

@@ -73,7 +73,19 @@ class JbsqScheduler : public Scheduler
     std::string name() const override { return cfg_.label; }
     unsigned nicQueues() const override { return cfg_.domains; }
     void deliver(net::Rpc *r, unsigned queue) override;
-    std::vector<std::size_t> queueLengths() const override;
+    /** Central queues first (one per domain), then per-core local
+     *  queues. */
+    std::size_t
+    numQueues() const override
+    {
+        return central_.size() + local_.size();
+    }
+    std::size_t
+    queueLength(std::size_t q) const override
+    {
+        return q < central_.size() ? central_[q].length()
+                                   : local_[q - central_.size()].size();
+    }
 
     std::uint64_t preemptions() const { return preemptions_; }
 

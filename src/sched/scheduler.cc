@@ -27,12 +27,21 @@ Scheduler::attach(SchedContext ctx, CompletionSink *sink)
     onAttach();
 }
 
+std::vector<std::size_t>
+Scheduler::queueLengths() const
+{
+    std::vector<std::size_t> lens(numQueues());
+    for (std::size_t q = 0; q < lens.size(); ++q)
+        lens[q] = queueLength(q);
+    return lens;
+}
+
 std::size_t
 Scheduler::totalQueued() const
 {
     std::size_t total = 0;
-    for (std::size_t len : queueLengths())
-        total += len;
+    for (std::size_t q = 0, n = numQueues(); q < n; ++q)
+        total += queueLength(q);
     return total;
 }
 

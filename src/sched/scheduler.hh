@@ -120,10 +120,18 @@ class Scheduler
     /** NIC delivered @p r into receive queue @p queue. */
     virtual void deliver(net::Rpc *r, unsigned queue) = 0;
 
-    /** Current queue depths (receive-queue granularity). */
-    virtual std::vector<std::size_t> queueLengths() const = 0;
+    /** Number of queues the design reports (receive-queue
+     *  granularity). */
+    virtual std::size_t numQueues() const = 0;
 
-    /** Total requests waiting in scheduler queues (not executing). */
+    /** Depth of queue @p q, for q < numQueues(). */
+    virtual std::size_t queueLength(std::size_t q) const = 0;
+
+    /** Every queue's depth, in queueLength() order. */
+    std::vector<std::size_t> queueLengths() const;
+
+    /** Total requests waiting in scheduler queues (not executing).
+     *  Allocation-free: a rack's ToR reads it per dispatch. */
     std::size_t totalQueued() const;
 
     /** Begin periodic activity (e.g. the ALTOCUMULUS runtime). */

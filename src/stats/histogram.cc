@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -16,6 +18,26 @@ namespace altoc::stats {
 // ---------------------------------------------------------------------
 // SampleHistogram
 // ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Nearest-rank definition: the index, in sorted order, of the
+ * smallest value such that at least q * n of @p n > 0 samples are
+ * <= it.
+ */
+std::size_t
+nearestRankIndex(double q, std::size_t n)
+{
+    std::size_t rank = static_cast<std::size_t>(std::ceil(q * n));
+    if (rank == 0)
+        rank = 1;
+    if (rank > n)
+        rank = n;
+    return rank - 1;
+}
+
+} // namespace
 
 void
 SampleHistogram::ensureSorted() const
@@ -39,15 +61,7 @@ SampleHistogram::percentile(double q) const
     if (samples_.empty())
         return 0;
     ensureSorted();
-    // Nearest-rank definition: the smallest value such that at least
-    // q * count samples are <= it.
-    const auto n = samples_.size();
-    std::size_t rank = static_cast<std::size_t>(std::ceil(q * n));
-    if (rank == 0)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    return samples_[rank - 1];
+    return samples_[nearestRankIndex(q, samples_.size())];
 }
 
 Tick
@@ -81,11 +95,26 @@ SampleHistogram::summary() const
     Summary s;
     s.count = count();
     s.mean = mean();
-    s.p50 = percentile(0.50);
-    s.p90 = percentile(0.90);
-    s.p99 = percentile(0.99);
-    s.p999 = percentile(0.999);
-    s.max = max();
+    if (samples_.empty())
+        return s;
+    // Select instead of sorting: the ranks ascend with q, so each
+    // nth_element partitions only the tail the previous one left
+    // (everything before its pivot is <= it, everything after >=).
+    const std::pair<double, Tick *> ranks[] = {
+        {0.50, &s.p50}, {0.90, &s.p90}, {0.99, &s.p99}, {0.999, &s.p999}};
+    auto tail = samples_.begin();
+    for (const auto &[q, out] : ranks) {
+        const auto nth =
+            samples_.begin() +
+            static_cast<std::ptrdiff_t>(nearestRankIndex(q, samples_.size()));
+        std::nth_element(tail, nth, samples_.end());
+        *out = *nth;
+        tail = nth;
+    }
+    s.max = *std::max_element(tail, samples_.end());
+    // nth_element may reorder even a sorted store; later queries sort
+    // it again on demand.
+    sorted_ = false;
     return s;
 }
 

@@ -32,8 +32,8 @@ struct Summary
 
 /**
  * Exact-sample latency recorder. Stores every sample; percentile
- * queries sort lazily. Suitable up to a few tens of millions of
- * samples.
+ * queries sort lazily, and summary() selects its order statistics
+ * without sorting. Suitable up to a few tens of millions of samples.
  */
 class SampleHistogram
 {
@@ -67,13 +67,16 @@ class SampleHistogram
     /** Fraction of samples strictly greater than @p target. */
     double fractionAbove(Tick target) const;
 
+    /** Count, mean, p50/p90/p99/p999 and max. The store is
+     *  partitioned by a cascade of selections (linear time), not
+     *  sorted; the values equal percentile()'s. */
     Summary summary() const;
 
     /** Drop all samples. */
     void reset();
 
-    /** Read-only access to the raw samples (unsorted order not
-     *  guaranteed once a percentile query has run). */
+    /** Read-only access to the raw samples (recording order not
+     *  guaranteed once a percentile query or summary() has run). */
     const std::vector<Tick> &samples() const { return samples_; }
 
   private:

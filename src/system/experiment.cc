@@ -594,8 +594,8 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     const DerivedSpec d = deriveSpec(spec);
     Rack rack(cfg, spec);
     const unsigned n = rack.numServers();
-    // Pre-size the descriptor pools and latency stores so the measured
-    // run performs no slab growth or sample-vector reallocation.
+    // Reserve the latency sample stores so recording never
+    // reallocates; descriptor pools grow to what is in flight.
     rack.reserveFor(d.total);
     rack.stopAfterCompletions(d.total);
     const unsigned shards = rack.resolveShards(cfg.shards);

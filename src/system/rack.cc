@@ -337,8 +337,8 @@ void
 Rack::reserveFor(std::uint64_t total_requests)
 {
     const unsigned n = numServers();
-    // Per-server share plus imbalance headroom; the pools still grow
-    // on demand if a skewed policy concentrates more than that.
+    // Per-server share plus imbalance headroom; a sample store still
+    // grows on demand if a skewed policy concentrates more than that.
     const std::uint64_t per =
         n == 1 ? total_requests
                : total_requests / n + total_requests / (4 * n) + 1024;

@@ -171,7 +171,8 @@ class Rack
     Tick runSharded(unsigned shards, Tick until = kTickInf,
                     sim::Kernel::ParallelGate gate = {});
 
-    /** Pre-size every server's pool and sample store. */
+    /** Reserve each server's latency sample store for its share of
+     *  @p total_requests (Server::reserveFor). */
     void reserveFor(std::uint64_t total_requests);
 
     // ----- ToR state and counters ------------------------------------

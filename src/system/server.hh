@@ -152,14 +152,15 @@ class Server : public sched::CompletionSink
     const sched::Scheduler &scheduler() const { return *sched_; }
 
     /**
-     * Pre-size the descriptor pool and the latency sample store for a
-     * run of @p n requests, so the warm steady state performs no slab
-     * growth or histogram reallocation.
+     * Reserve the latency sample store's capacity for a run of @p n
+     * requests, so recording never reallocates it. Reserving writes
+     * nothing: the store's pages are touched only as samples land.
+     * The descriptor pool is not sized here; it grows a slab at a
+     * time to the peak number of requests in flight.
      */
     void
     reserveFor(std::uint64_t n)
     {
-        pool_.reserve(static_cast<std::size_t>(n));
         tracker_.reserve(static_cast<std::size_t>(n));
     }
 

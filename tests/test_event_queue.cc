@@ -5,7 +5,8 @@
  * against a reference model, tie-break stability, the inline-callback
  * capture-size compile check, the zero-allocation guarantee on the
  * steady-state hot path, and a whole-pipeline bound on allocations
- * per completed request across a warm runExperiment slice.
+ * and bytes per completed request across a warm runExperiment slice,
+ * for one server and for a load-reading rack.
  */
 
 #include <gtest/gtest.h>
@@ -29,18 +30,21 @@ using namespace altoc::sim;
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps
-// g_allocs, so a test can assert a region of the kernel hot path
-// performs zero heap allocations.
+// g_allocs and adds its size to g_bytes, so a test can assert a region
+// of the kernel hot path performs zero heap allocations and bound what
+// a longer run holds.
 // ---------------------------------------------------------------------
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_bytes{0};
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
     ++g_allocs;
+    g_bytes += n;
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -391,22 +395,32 @@ TEST(EventHotPath, SteadyStateScheduleDispatchDoesNotAllocate)
 #if !ALTOC_AUDIT_ENABLED
 namespace {
 
-std::size_t
-allocsForAcIntRun(std::uint64_t requests)
+/** Heap traffic of one run: allocation count and bytes requested. */
+struct HeapUse
+{
+    std::size_t allocs = 0;
+    std::size_t bytes = 0;
+};
+
+HeapUse
+allocsForAcIntRun(std::uint64_t requests,
+                  const altoc::system::RackConfig &rack)
 {
     altoc::system::DesignConfig cfg;
     cfg.design = altoc::system::Design::AcInt;
     cfg.cores = 16;
     cfg.groups = 2;
+    cfg.rack = rack;
     altoc::system::WorkloadSpec spec;
     spec.service = altoc::workload::makeFixed(1 * kUs);
     spec.rateMrps = 8.0;
     spec.requests = requests;
     spec.seed = 42;
-    const std::size_t before = g_allocs.load();
+    const HeapUse before{g_allocs.load(), g_bytes.load()};
     const altoc::system::RunResult res =
         altoc::system::runExperiment(cfg, spec);
-    const std::size_t used = g_allocs.load() - before;
+    const HeapUse used{g_allocs.load() - before.allocs,
+                       g_bytes.load() - before.bytes};
     EXPECT_EQ(res.completed, requests);
     return used;
 }
@@ -419,22 +433,42 @@ TEST(EventHotPath, CompletedRequestAllocationIsBounded)
 #if ALTOC_AUDIT_ENABLED
     GTEST_SKIP() << "audit builds allocate in the invariant auditor";
 #else
-    // Fixed setup costs (server, scheduler, reserves) are identical
-    // between an N- and a 2N-request run of the same config, so the
-    // difference isolates what actually scales with completed
-    // requests. After the descriptor-path overhaul that residue is a
-    // handful of slab/regrowth allocations for the *whole* extra
-    // slice -- bound it at 1 allocation per 20 completed requests so
-    // any per-request heap traffic sneaking back in fails loudly.
+    // Fixed setup costs (servers, schedulers, pool slabs) are
+    // identical between an N- and a 2N-request run of the same
+    // config, so the difference isolates what actually scales with
+    // completed requests. Allocations: a handful of regrowths for the
+    // *whole* extra slice -- bound them at 1 per 20 completed requests
+    // so any per-request heap traffic sneaking back in fails loudly.
+    // Bytes: only the latency sample stores may grow with a run's
+    // length (a server's, a rack's per-server ones and its rack-wide
+    // one), so at most three 8-B samples per extra request. The rack
+    // runs p2c, whose ToR reads two servers' backlogs per dispatch.
     constexpr std::uint64_t kN = 4000;
-    const std::size_t small = allocsForAcIntRun(kN);
-    const std::size_t big = allocsForAcIntRun(2 * kN);
-    ASSERT_GE(big, small)
-        << "longer run allocated less; harness assumption broken";
-    const std::size_t per_slice = big - small;
-    EXPECT_LE(per_slice, kN / 20)
-        << "steady-state pipeline allocates per completed request ("
-        << per_slice << " extra allocations across " << kN
-        << " extra requests)";
+    constexpr double kMaxBytesPerRequest = 3 * sizeof(Tick);
+    altoc::system::RackConfig p2c;
+    p2c.servers = 4;
+    p2c.policy = altoc::system::TorPolicy::PowerOfK;
+    const std::pair<const char *, altoc::system::RackConfig> shapes[] = {
+        {"one server", altoc::system::RackConfig{}},
+        {"4-server p2c rack", p2c}};
+    for (const auto &[label, rack] : shapes) {
+        SCOPED_TRACE(label);
+        const HeapUse small = allocsForAcIntRun(kN, rack);
+        const HeapUse big = allocsForAcIntRun(2 * kN, rack);
+        ASSERT_GE(big.allocs, small.allocs)
+            << "longer run allocated less; harness assumption broken";
+        const std::size_t per_slice = big.allocs - small.allocs;
+        EXPECT_LE(per_slice, kN / 20)
+            << "steady-state pipeline allocates per completed request ("
+            << per_slice << " extra allocations across " << kN
+            << " extra requests)";
+        const double bytes_per_request =
+            (static_cast<double>(big.bytes) -
+             static_cast<double>(small.bytes)) /
+            static_cast<double>(kN);
+        EXPECT_LE(bytes_per_request, kMaxBytesPerRequest)
+            << "a run's heap grows with its length beyond its sample "
+               "stores";
+    }
 #endif
 }

@@ -74,6 +74,56 @@ TEST(SampleHistogram, ResetClears)
     EXPECT_EQ(h.mean(), 0.0);
 }
 
+TEST(SampleHistogram, SummarySelectionMatchesSorting)
+{
+    // summary() selects its order statistics; an identical store
+    // answers percentile()/max() by sorting. Few distinct values put
+    // many ties at every rank.
+    constexpr std::size_t kSizes[] = {1, 2, 3, 999, 1000, 1001, 100000};
+    for (const std::size_t n : kSizes) {
+        SCOPED_TRACE(n);
+        Rng rng(n);
+        auto draw = [&rng] {
+            return rng.below(4) == 0 ? Tick{1000} + rng.below(100)
+                                     : Tick{10} * rng.below(8);
+        };
+        SampleHistogram selected;
+        SampleHistogram sorted;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick v = draw();
+            selected.record(v);
+            sorted.record(v);
+        }
+        auto expectAgrees = [&sorted](const Summary &s) {
+            EXPECT_EQ(s.count, sorted.count());
+            EXPECT_DOUBLE_EQ(s.mean, sorted.mean());
+            EXPECT_EQ(s.p50, sorted.percentile(0.50));
+            EXPECT_EQ(s.p90, sorted.percentile(0.90));
+            EXPECT_EQ(s.p99, sorted.percentile(0.99));
+            EXPECT_EQ(s.p999, sorted.percentile(0.999));
+            EXPECT_EQ(s.max, sorted.max());
+        };
+        // Each summary() leaves the store partitioned, not sorted; the
+        // queries after it must still answer as if sorted.
+        expectAgrees(selected.summary());
+        EXPECT_EQ(selected.percentile(0.25), sorted.percentile(0.25));
+        EXPECT_EQ(selected.percentile(0.0), sorted.percentile(0.0));
+
+        // Those queries sorted the store; summary() partitions it anew.
+        expectAgrees(selected.summary());
+        EXPECT_EQ(selected.percentile(0.0), sorted.percentile(0.0));
+        EXPECT_EQ(selected.percentile(0.75), sorted.percentile(0.75));
+
+        const Tick extra = draw();
+        selected.record(extra);
+        sorted.record(extra);
+        expectAgrees(selected.summary());
+        const Tick p90 = sorted.percentile(0.90);
+        EXPECT_EQ(selected.countAbove(p90), sorted.countAbove(p90));
+        EXPECT_EQ(selected.countAbove(0), sorted.countAbove(0));
+    }
+}
+
 TEST(LogHistogram, SmallValuesExact)
 {
     LogHistogram h;
