@@ -7,7 +7,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bench_util.hh"
+#include "common/rng.hh"
 #include "mica/kvs.hh"
 #include "net/rpc.hh"
 #include "noc/mesh.hh"
@@ -40,7 +44,9 @@ BENCHMARK(BM_EventScheduleRun);
 static void
 BM_EventQueueDepth(benchmark::State &state)
 {
-    // Sustained operation with a deep queue (the high-load regime).
+    // Sustained operation with a deep queue. Every event is due
+    // `depth` ticks ahead, at least one timing-wheel span, so this
+    // measures the overflow heap alone.
     const unsigned depth = static_cast<unsigned>(state.range(0));
     sim::Simulator sim;
     Tick t = 1;
@@ -53,6 +59,60 @@ BM_EventQueueDepth(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueDepth)->Arg(1024)->Arg(65536);
+
+namespace {
+
+/** Host state of the hold model: its simulator and a cycled table of
+ *  successor delays. */
+struct HoldModel
+{
+    /** Power of two, so the cycle index masks. */
+    static constexpr std::size_t kDelays = 4096;
+
+    sim::Simulator sim;
+    std::vector<Tick> delays;
+    std::size_t next = 0;
+
+    HoldModel() : delays(kDelays)
+    {
+        // The mix the simulator's workloads schedule: 99.8% of events
+        // land within one wheel span (NoC hops, runtime periods,
+        // sub-us service), the rest tens of us out (timeouts, rack
+        // links).
+        Rng rng(7);
+        for (Tick &d : delays) {
+            d = rng.chance(0.998)
+                    ? rng.below(sim::EventQueue::kWheelSpan)
+                    : rng.range(10 * kUs, 50 * kUs);
+        }
+    }
+
+    Tick nextDelay() { return delays[next++ & (kDelays - 1)]; }
+};
+
+/** One hold-model event: it schedules its own successor. */
+struct HoldEvent
+{
+    HoldModel *m;
+
+    void operator()() const { m->sim.after(m->nextDelay(), HoldEvent{m}); }
+};
+
+} // namespace
+
+static void
+BM_EventHold(benchmark::State &state)
+{
+    // The classic hold model: N events pending, and each dispatch
+    // schedules one successor, so the queue holds N throughout.
+    HoldModel m;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        m.sim.after(m.nextDelay(), HoldEvent{&m});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(m.sim.step());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventHold)->Arg(16)->Arg(512);
 
 static void
 BM_EventScheduleCancel(benchmark::State &state)

@@ -1,31 +1,48 @@
 /**
  * @file
- * EventQueue implementation: an indexed 4-ary min-heap over POD keys
- * with callbacks parked in a generation-counted slot pool.
+ * EventQueue implementation: a timing wheel of per-tick FIFO buckets
+ * threaded through a generation-counted slot pool, in front of an
+ * indexed 4-ary min-heap over POD keys for everything the wheel does
+ * not hold.
  *
- * Why 4-ary: sift paths are half as deep as a binary heap's and the
- * four child keys share two cache lines, which wins on the
+ * The wheel. A bucket is a doubly linked FIFO of slots (head and tail
+ * in the bucket, next/prev in the slots), so appending, unlinking a
+ * cancelled event and popping the head are O(1). Two bitmap levels
+ * find the first non-empty bucket at or after the cursor's: a bit per
+ * bucket, and a summary bit per 64-bucket word. The first search
+ * after each dispatch is cached in front_, so a run loop that peeks
+ * before it dispatches (the kernel's multi-region merge loop, audit
+ * builds) searches once per event.
+ *
+ * The heap. 4-ary: sift paths are half as deep as a binary heap's and
+ * the four child keys share two cache lines, which wins on the
  * pop-dominated access pattern of a drain loop. Sifts move a single
  * 24-byte key into a "hole" instead of swapping records, and the
  * closures themselves never move during sifts at all.
  *
- * Dead-entry policy: cancel() reclaims the slot immediately but
- * leaves the heap key in place (removing an arbitrary key would be
- * O(n) or need per-slot heap-index bookkeeping on every sift). Keys
- * whose slot generation no longer matches are skipped when they
- * surface; compact() sweeps them wholesale as soon as they exceed
- * half the heap, so the heap never holds more than 2x size() + 1
- * entries no matter how adversarial the cancellation pattern.
+ * Dead-entry policy (heap only): cancel() reclaims the slot
+ * immediately but leaves the heap key in place (removing an arbitrary
+ * key would be O(n) or need per-slot heap-index bookkeeping on every
+ * sift). Keys whose slot generation no longer matches are skipped
+ * when they surface; compact() sweeps them wholesale as soon as they
+ * exceed half the heap, so the heap never holds more than 2x size() +
+ * 1 entries no matter how adversarial the cancellation pattern.
  */
 
 #include "sim/event_queue.hh"
 
+#include <bit>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/annotations.hh"
+#include "common/logging.hh"
 
 namespace altoc::sim {
+
+EventQueue::EventQueue()
+    : buckets_(std::make_unique<Bucket[]>(kWheelSpan))
+{
+}
 
 std::uint32_t
 EventQueue::allocSlotSlow()
@@ -42,23 +59,113 @@ EventQueue::freeSlot(std::uint32_t slot)
     s.cb.reset();
     s.live = false;
     ++s.gen; // stale handles to this slot die here
-    s.nextFree = freeHead_;
+    s.next = freeHead_;
     freeHead_ = slot;
 }
 
 void
-EventQueue::pushKey(Tick when, std::uint32_t slot, std::uint32_t gen)
+EventQueue::pushKey(Tick when, std::uint32_t slot)
 {
-    pushKeySeq(when, nextSeq_++, slot, gen);
+    const std::uint64_t seq = nextSeq_++;
+    // One unsigned comparison: a tick before the cursor wraps to a
+    // huge distance and goes to the heap with the far-future ones.
+    if (when - cursor_ >= kWheelSpan) {
+        pushHeap(when, seq, slot);
+        return;
+    }
+    wheelPush(when, seq, slot);
+    ++liveCount_;
+    offerFront(when, seq, slot, true);
 }
 
 void
-EventQueue::pushKeySeq(Tick when, std::uint64_t seq, std::uint32_t slot,
-                       std::uint32_t gen)
+EventQueue::pushHeap(Tick when, std::uint64_t seq, std::uint32_t slot)
 {
-    heap_.push_back(Key{when, seq, slot, gen});
+    slots_[slot].inWheel = false;
+    heap_.push_back(Key{when, seq, slot, slots_[slot].gen});
     siftUp(heap_.size() - 1);
     ++liveCount_;
+    // A key that precedes the front precedes every heap key, dead ones
+    // included (the front is never behind the heap top, and the top
+    // was live when the front was found), so siftUp took it to the
+    // top, where dispatchFront() pops it.
+    offerFront(when, seq, slot, false);
+}
+
+void
+EventQueue::wheelPush(Tick when, std::uint64_t seq, std::uint32_t slot)
+{
+    Slot &s = slots_[slot];
+    s.when = when;
+    s.seq = seq;
+    s.inWheel = true;
+    s.next = kNilSlot;
+    const auto b = static_cast<std::uint32_t>(when & kWheelMask);
+    Bucket &bk = buckets_[b];
+    if (bk.head == kNilSlot) {
+        s.prev = kNilSlot;
+        bk.head = slot;
+        markBucket(b);
+    } else {
+        s.prev = bk.tail;
+        slots_[bk.tail].next = slot;
+    }
+    bk.tail = slot;
+}
+
+void
+EventQueue::wheelUnlink(std::uint32_t slot)
+{
+    const Slot &s = slots_[slot];
+    const auto b = static_cast<std::uint32_t>(s.when & kWheelMask);
+    Bucket &bk = buckets_[b];
+    if (s.prev == kNilSlot)
+        bk.head = s.next;
+    else
+        slots_[s.prev].next = s.next;
+    if (s.next == kNilSlot)
+        bk.tail = s.prev;
+    else
+        slots_[s.next].prev = s.prev;
+    if (bk.head == kNilSlot)
+        clearBucket(b);
+}
+
+void
+EventQueue::markBucket(std::uint32_t b)
+{
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    summary_ |= std::uint32_t{1} << (b / 64);
+}
+
+void
+EventQueue::clearBucket(std::uint32_t b)
+{
+    std::uint64_t &word = occupied_[b / 64];
+    word &= ~(std::uint64_t{1} << (b % 64));
+    if (word == 0)
+        summary_ &= ~(std::uint32_t{1} << (b / 64));
+}
+
+std::uint32_t
+EventQueue::firstBucket() const
+{
+    // The window [cursor_, cursor_ + kWheelSpan) starts at the
+    // cursor's bucket and wraps, so tick order is bucket order from
+    // there. Precondition: summary_ != 0.
+    const auto start = static_cast<std::uint32_t>(cursor_ & kWheelMask);
+    const std::uint32_t w = start / 64;
+    const std::uint64_t here =
+        occupied_[w] & (~std::uint64_t{0} << (start % 64));
+    if (here != 0)
+        return w * 64 + static_cast<std::uint32_t>(std::countr_zero(here));
+    // Later words first; failing those, wrap to the lowest non-empty
+    // word, which may be w's part below the cursor.
+    const std::uint32_t later = summary_ & (~std::uint32_t{1} << w);
+    const auto ww = static_cast<std::uint32_t>(
+        std::countr_zero(later != 0 ? later : summary_));
+    return ww * 64 +
+           static_cast<std::uint32_t>(std::countr_zero(occupied_[ww]));
 }
 
 bool
@@ -74,8 +181,14 @@ EventQueue::cancel(EventId id)
     Slot &s = slots_[slot];
     if (!s.live || s.gen != gen)
         return false;
-    freeSlot(slot);
+    frontValid_ = false;
     --liveCount_;
+    if (s.inWheel) {
+        wheelUnlink(slot);
+        freeSlot(slot);
+        return true;
+    }
+    freeSlot(slot);
     ++deadInHeap_;
     if (deadInHeap_ * 2 > heap_.size())
         compact();
@@ -107,8 +220,7 @@ EventQueue::popTop()
     // sift-down additionally compares the moved key at every level,
     // but that key came from the bottom of the heap, so it nearly
     // always sinks the whole way -- the upward pass here terminates
-    // after one comparison instead. Pops dominate the drain loop,
-    // so the saved comparisons are the hot path's.
+    // after one comparison instead.
     const std::size_t n = heap_.size() - 1;
     if (n == 0) {
         heap_.pop_back();
@@ -142,33 +254,61 @@ EventQueue::skipDead()
     }
 }
 
+void
+EventQueue::findFront()
+{
+    skipDead();
+    Front f;
+    if (!heap_.empty()) {
+        const Key &k = heap_.front();
+        f = Front{k.when, k.seq, k.slot, false};
+    }
+    if (summary_ != 0) {
+        const std::uint32_t slot = buckets_[firstBucket()].head;
+        const Slot &s = slots_[slot];
+        if (keyLess(s.when, s.seq, f.when, f.seq))
+            f = Front{s.when, s.seq, slot, true};
+    }
+    front_ = f;
+    frontValid_ = true;
+}
+
 Tick
 EventQueue::nextTime() const
 {
-    if (!heap_.empty() && keyAlive(heap_.front()))
-        return heap_.front().when;
+    if (frontValid_)
+        return front_.when;
     Tick best = kTickInf;
-    for (const Key &k : heap_) {
-        if (k.when < best && keyAlive(k))
-            best = k.when;
+    if (!heap_.empty() && keyAlive(heap_.front())) {
+        best = heap_.front().when;
+    } else {
+        for (const Key &k : heap_) {
+            if (k.when < best && keyAlive(k))
+                best = k.when;
+        }
+    }
+    if (summary_ != 0) {
+        const Tick w = slots_[buckets_[firstBucket()].head].when;
+        if (w < best)
+            best = w;
     }
     return best;
 }
 
-Tick
-EventQueue::peekTime()
-{
-    skipDead();
-    return heap_.empty() ? kTickInf : heap_.front().when;
-}
-
+/** Pop the cached front from its residency, then run it. */
 ALTOC_HOT Tick
-EventQueue::runOne()
+EventQueue::dispatchFront(Tick &now_out)
 {
-    skipDead();
-    altoc_assert(!heap_.empty(), "runOne() on an empty event queue");
-    const Key top = heap_.front();
-    popTop();
+    const Front f = front_;
+    frontValid_ = false;
+    if (f.inWheel)
+        wheelUnlink(f.slot); // the head of its bucket
+    else
+        popTop();
+    // Only an event scheduled before the cursor (raw queue API) can
+    // fire behind it; the window must not slide back for it.
+    if (f.when > cursor_)
+        cursor_ = f.when;
     // Move the closure out before freeing: the callback may schedule,
     // growing slots_ and invalidating any reference into the pool. The
     // slot is released first so cancel(own-id) inside the callback
@@ -176,31 +316,31 @@ EventQueue::runOne()
     // chunked stable pool was tried and measured slower: the chunk
     // indirection on every slot touch costs more than the one
     // relocate of a warm <=48-byte closure saves.)
-    Callback cb = std::move(slots_[top.slot].cb);
-    freeSlot(top.slot);
+    Callback cb = std::move(slots_[f.slot].cb);
+    freeSlot(f.slot);
     --liveCount_;
     ++executed_;
+    now_out = f.when;
     cb();
-    return top.when;
+    return f.when;
+}
+
+ALTOC_HOT Tick
+EventQueue::runOne()
+{
+    refreshFront();
+    altoc_assert(front_.slot != kNilSlot, "runOne() on an empty event queue");
+    Tick now = 0;
+    return dispatchFront(now);
 }
 
 ALTOC_HOT Tick
 EventQueue::runOneBefore(Tick until, Tick &now_out)
 {
-    skipDead();
-    if (heap_.empty() || heap_.front().when > until)
+    refreshFront();
+    if (front_.slot == kNilSlot || front_.when > until)
         return kTickInf;
-    const Key top = heap_.front();
-    popTop();
-    // Same move-out discipline as runOne(): the callback may schedule
-    // (growing slots_) and must see cancel(own-id) == false.
-    Callback cb = std::move(slots_[top.slot].cb);
-    freeSlot(top.slot);
-    --liveCount_;
-    ++executed_;
-    now_out = top.when;
-    cb();
-    return top.when;
+    return dispatchFront(now_out);
 }
 
 void

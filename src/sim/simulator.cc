@@ -33,7 +33,7 @@ Simulator::run(Tick until)
         events_.runOne();
     }
 #else
-    // Fused peek + pop: one heap pass per event. now_ is updated by
+    // Fused peek + pop: one front search per event. now_ is set by
     // the queue before the callback runs, so now() stays correct
     // inside event handlers.
     while (!events_.empty() && !stopRequested_) {

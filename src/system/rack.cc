@@ -225,7 +225,7 @@ Rack::torDeliver(unsigned s, const net::WireRpc &w)
 }
 
 void
-Rack::shedAtTor(std::uint64_t rpc_id)
+Rack::shedAtTor([[maybe_unused]] std::uint64_t rpc_id)
 {
     ++torShed_;
     ALTOC_TRACE_HOOK(torTracer_.get(),

@@ -2,11 +2,12 @@
  * @file
  * Event-kernel tests for the slotted queue: generation-counted handle
  * reuse, mass-cancellation compaction, schedule/cancel interleaving
- * against a reference model, tie-break stability, the inline-callback
- * capture-size compile check, the zero-allocation guarantee on the
- * steady-state hot path, and a whole-pipeline bound on allocations
- * and bytes per completed request across a warm runExperiment slice,
- * for one server and for a load-reading rack.
+ * against a reference model over both residencies (timing wheel and
+ * overflow heap) and cross-region seqs, tie-break stability, the
+ * inline-callback capture-size compile check, the zero-allocation
+ * guarantee on the steady-state hot path, and a whole-pipeline bound
+ * on allocations and bytes per completed request across a warm
+ * runExperiment slice, for one server and for a load-reading rack.
  */
 
 #include <gtest/gtest.h>
@@ -56,10 +57,21 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+// noinline: inlined, a replacement delete shows GCC 12 a std::free of
+// a pointer that came from operator new, which -Wmismatched-new-delete
+// flags at every delete site.
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 // ---------------------------------------------------------------------
 // Generation-counted handles
@@ -165,73 +177,215 @@ TEST(EventCompaction, CancelEverythingEmptiesHeap)
 // Interleaving stress against a reference model
 // ---------------------------------------------------------------------
 
-TEST(EventStress, ScheduleCancelInterleavingMatchesReferenceModel)
+namespace {
+
+/** Which delays the reference-model stress draws. */
+enum class DelayMix
 {
-    // Reference: an ordered map keyed by (when, seq) -- the defined
-    // dispatch order. The kernel must fire exactly the same sequence.
+    /** Up to 50 ticks ahead: the wheel alone. */
+    Near,
+    /** 0, W - 1, W, W + 1, several windows ahead and ticks of other
+     *  pending events (W = the wheel span), plus idle jumps: the queue
+     *  drains and the next event lies more than a window away. Both
+     *  residencies, and local events of both at one tick. */
+    StraddleWindow,
+    /** StraddleWindow plus unique scheduleAtSeq events (seq >=
+     *  kCrossSeqBase) at ticks that local events also use. */
+    StraddleWithCrossSeq,
+};
+
+/** Small deterministic generator for the stress test. */
+struct Lcg
+{
+    std::uint64_t state;
+
+    std::uint64_t
+    operator()(std::uint64_t mod)
+    {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % mod;
+    }
+};
+
+/**
+ * Drive an EventQueue with a random schedule/cancel/fire
+ * interleaving drawn from @p mix and check it against a reference
+ * model: an ordered map keyed by (when, seq), the defined dispatch
+ * order. Every fire checks peekTime()/peekKey() and the fired token,
+ * every operation checks size(), and cancels check both residencies
+ * and stale handles.
+ */
+void
+checkAgainstReferenceModel(DelayMix mix)
+{
+    using ModelKey = std::pair<Tick, std::uint64_t>;
+    constexpr Tick kW = EventQueue::kWheelSpan;
     EventQueue q;
-    std::map<std::pair<Tick, std::uint64_t>, int> model;
-    std::vector<std::pair<EventId, std::pair<Tick, std::uint64_t>>> live;
+    std::map<ModelKey, int> model;
+    struct Pending
+    {
+        EventId id;
+        ModelKey key;
+        bool inWheel; // filed within a window of the last fired tick
+    };
+    std::vector<Pending> live;
+    std::vector<EventId> retired;
     std::vector<int> fired;
     std::vector<int> expected;
+    std::uint64_t crossCtr[4] = {};
+    std::size_t cancelled[2] = {}; // [heap, wheel]
+    std::size_t crossScheduled = 0;
+    std::size_t sameTickAcrossResidency = 0;
 
-    std::uint64_t lcg = 12345;
-    auto rnd = [&lcg](std::uint64_t mod) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return (lcg >> 33) % mod;
-    };
-
-    std::uint64_t seq = 0;
+    Lcg rnd{12345};
+    std::uint64_t seq = 1; // the queue's local counter starts at 1
     int token = 0;
     Tick now = 0;
-    for (int op = 0; op < 20000; ++op) {
-        const std::uint64_t kind = rnd(10);
-        if (kind < 5 || live.empty()) {
-            // Schedule at or after `now` (time is monotone).
-            const Tick when = now + rnd(50);
-            const int tok = token++;
-            const EventId id =
-                q.schedule(when, [tok, &fired] { fired.push_back(tok); });
-            const auto key = std::make_pair(when, seq++);
-            model.emplace(key, tok);
-            live.emplace_back(id, key);
-        } else if (kind < 7) {
-            // Cancel a random live event.
-            const std::size_t pick = rnd(live.size());
-            const auto [id, key] = live[pick];
-            live[pick] = live.back();
-            live.pop_back();
-            EXPECT_TRUE(q.cancel(id));
-            EXPECT_FALSE(q.cancel(id));
-            model.erase(key);
-        } else if (!model.empty()) {
-            // Fire the earliest event.
-            const auto it = model.begin();
-            expected.push_back(it->second);
-            const auto key = it->first;
-            model.erase(it);
-            for (std::size_t i = 0; i < live.size(); ++i) {
-                if (live[i].second == key) {
-                    live[i] = live.back();
-                    live.pop_back();
-                    break;
-                }
-            }
-            EXPECT_EQ(q.peekTime(), key.first);
-            now = q.runOne();
-            EXPECT_EQ(now, key.first);
+
+    auto drawWhen = [&]() -> Tick {
+        if (mix == DelayMix::Near)
+            return now + rnd(50);
+        switch (rnd(10)) {
+          case 0: return now;
+          case 1: return now + kW - 1;
+          case 2: return now + kW;
+          case 3: return now + kW + 1;
+          case 4: {
+            const Tick windows = 2 + rnd(6);
+            return now + kW * windows + rnd(3) - 1;
+          }
+          case 5:
+          case 6:
+            if (!live.empty())
+                return live[rnd(live.size())].key.first;
+            return now + rnd(kW);
+          default: return now + rnd(kW + kW / 2);
         }
-        ASSERT_EQ(q.size(), model.size());
-    }
-    while (!model.empty()) {
+    };
+    auto fireOne = [&] {
         const auto it = model.begin();
         expected.push_back(it->second);
+        const ModelKey key = it->first;
         model.erase(it);
-        q.runOne();
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            if (live[i].key == key) {
+                retired.push_back(live[i].id);
+                live[i] = live.back();
+                live.pop_back();
+                break;
+            }
+        }
+        Tick when = 0;
+        std::uint64_t s = 0;
+        EXPECT_EQ(q.peekTime(), key.first);
+        ASSERT_TRUE(q.peekKey(when, s));
+        EXPECT_EQ(std::make_pair(when, s), key);
+        now = q.runOne();
+        ASSERT_EQ(now, key.first);
+        ASSERT_EQ(fired.size(), expected.size());
+        ASSERT_EQ(fired.back(), expected.back()) << "dispatch order";
+    };
+    auto schedule = [&](Tick when) {
+        const int tok = token++;
+        auto cb = [tok, &fired] { fired.push_back(tok); };
+        const bool inWheel = when - now < kW;
+        const bool cross =
+            mix == DelayMix::StraddleWithCrossSeq && rnd(4) == 0;
+        ModelKey key;
+        EventId id = kNoEvent;
+        if (cross) {
+            // The kernel's composition: (sender region, its counter).
+            const std::uint64_t region = rnd(4);
+            key = {when, kCrossSeqBase | region << 40 | crossCtr[region]++};
+            id = q.scheduleAtSeq(when, key.second, cb);
+            ++crossScheduled;
+        } else {
+            key = {when, seq++};
+            id = q.schedule(when, cb);
+        }
+        for (const Pending &p : live) {
+            if (p.key.first == when && p.inWheel != (inWheel && !cross)) {
+                ++sameTickAcrossResidency;
+                break;
+            }
+        }
+        model.emplace(key, tok);
+        live.push_back(Pending{id, key, inWheel && !cross});
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t kind = rnd(100);
+        if (kind < 50 || live.empty()) {
+            schedule(drawWhen());
+        } else if (kind < 70) {
+            // Cancel a random live event; a second cancel is stale.
+            const std::size_t pick = rnd(live.size());
+            const Pending p = live[pick];
+            live[pick] = live.back();
+            live.pop_back();
+            EXPECT_TRUE(q.cancel(p.id));
+            EXPECT_FALSE(q.cancel(p.id));
+            ++cancelled[p.inWheel];
+            model.erase(p.key);
+            EXPECT_EQ(q.nextTime(),
+                      model.empty() ? kTickInf : model.begin()->first.first);
+        } else if (kind < 99) {
+            if (!model.empty())
+                fireOne();
+        } else if (mix != DelayMix::Near) {
+            // Idle jump: drain, then resume more than a window away.
+            while (!model.empty())
+                fireOne();
+            EXPECT_EQ(q.peekTime(), kTickInf);
+            const Tick windows = 2 + rnd(4);
+            schedule(now + kW * windows + rnd(kW));
+        }
+        if (!retired.empty()) {
+            // Fired handles stay dead however their slots were reused.
+            EXPECT_FALSE(q.cancel(retired[rnd(retired.size())]));
+        }
+        ASSERT_EQ(q.size(), model.size());
+        if (rnd(4) == 0) {
+            // Peek between operations too, so that later schedules
+            // meet a valid cached front.
+            EXPECT_EQ(q.peekTime(),
+                      model.empty() ? kTickInf : model.begin()->first.first);
+        }
     }
+    while (!model.empty())
+        fireOne();
     EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.peekTime(), kTickInf);
     ASSERT_EQ(fired.size(), expected.size());
     EXPECT_EQ(fired, expected);
+
+    // The mix reached what it was drawn to reach.
+    EXPECT_GT(cancelled[1], 0u) << "no wheel-resident cancel";
+    if (mix != DelayMix::Near) {
+        EXPECT_GT(cancelled[0], 0u) << "no heap-resident cancel";
+        EXPECT_GT(sameTickAcrossResidency, 0u)
+            << "wheel and heap never held one tick";
+    }
+    if (mix == DelayMix::StraddleWithCrossSeq) {
+        EXPECT_GT(crossScheduled, 0u);
+    }
+}
+
+} // namespace
+
+TEST(EventStress, ScheduleCancelInterleavingMatchesReferenceModel)
+{
+    checkAgainstReferenceModel(DelayMix::Near);
+}
+
+TEST(EventStress, WindowStraddlingDelaysMatchReferenceModel)
+{
+    checkAgainstReferenceModel(DelayMix::StraddleWindow);
+}
+
+TEST(EventStress, CrossSeqEventsAtSharedTicksMatchReferenceModel)
+{
+    checkAgainstReferenceModel(DelayMix::StraddleWithCrossSeq);
 }
 
 // ---------------------------------------------------------------------

@@ -64,16 +64,27 @@ operator new[](std::size_t n, const std::nothrow_t &t) noexcept
     return ::operator new(n, t);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void
+// noinline: inlined, a replacement delete shows GCC 12 a std::free of
+// a pointer that came from operator new, which -Wmismatched-new-delete
+// flags at every delete site.
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
-void
+[[gnu::noinline]] void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
