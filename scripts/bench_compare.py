@@ -18,8 +18,11 @@ runs, compared in one invocation with one merged delta table:
 
 Benchmarks are matched by name within their pair. The primary metric
 is items_per_second (higher is better); benchmarks that do not report
-it fall back to real_time (lower is better). Entries present in only
-one report of a pair are listed but never fail the comparison.
+it fall back to real_time (lower is better). A report recorded with
+--benchmark_repetitions holds one entry per repetition under the same
+name; each name is compared by the median of its repetitions (the
+aggregate rows are ignored). Entries present in only one report of a
+pair are listed but never fail the comparison.
 
 Exit codes:
     0  compared cleanly (regressions are warnings by default -- the
@@ -35,12 +38,16 @@ Exit codes:
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 
 
 def load_report(path):
-    """Return {name: (metric_value, higher_is_better)} for one report."""
+    """Return {name: (metric_value, higher_is_better)} for one report.
+
+    The value is the median over the name's repetitions.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -54,18 +61,29 @@ def load_report(path):
     if not isinstance(benches, list) or not benches:
         print(f"error: {path} contains no benchmarks", file=sys.stderr)
         raise SystemExit(2)
-    out = {}
+    reps = {}
     for bench in benches:
         name = bench.get("name")
         if not name or bench.get("run_type") == "aggregate":
             continue
         if "items_per_second" in bench:
-            out[name] = (float(bench["items_per_second"]), True)
+            entry = (float(bench["items_per_second"]), True)
         elif "real_time" in bench:
-            out[name] = (float(bench["real_time"]), False)
-    if not out:
+            entry = (float(bench["real_time"]), False)
+        else:
+            continue
+        reps.setdefault(name, []).append(entry)
+    if not reps:
         print(f"error: {path} has no comparable entries", file=sys.stderr)
         raise SystemExit(2)
+    out = {}
+    for name, entries in reps.items():
+        higher = entries[0][1]
+        if any(h != higher for _, h in entries):
+            print(f"error: {path}: repetitions of {name} report "
+                  "different metrics", file=sys.stderr)
+            raise SystemExit(2)
+        out[name] = (statistics.median(v for v, _ in entries), higher)
     return out
 
 
@@ -214,6 +232,18 @@ def self_test():
         macro_cur = _write(tmp, "mc.json", _report([
             {"name": "BM_MacroAcInt", "items_per_second": 10.5},
             {"name": "BM_Time", "real_time": 190.0}]))
+        # Three repetitions each: the medians (100 and 99) are level,
+        # while the last repetitions alone (100 vs 40) would read as a
+        # 60% regression.
+        reps_base = _write(tmp, "rb.json", _report([
+            {"name": "BM_Event", "items_per_second": v}
+            for v in (104.0, 90.0, 100.0)]))
+        reps_cur = _write(tmp, "rc.json", _report([
+            {"name": "BM_Event", "items_per_second": v}
+            for v in (101.0, 99.0, 40.0)]))
+        mixed = _write(tmp, "mixed.json", _report([
+            {"name": "BM_Event", "items_per_second": 1.0},
+            {"name": "BM_Event", "real_time": 1.0}]))
         bad_json = _write(tmp, "bad.json", "{not json")
         empty = _write(tmp, "empty.json", {"benchmarks": []})
 
@@ -242,6 +272,13 @@ def self_test():
               "report with no benchmarks exits 2")
         check(_exit_code([kern_base, kern_fast, macro_base]) == 2,
               "odd number of reports exits 2")
+        check(load_report(reps_cur) == {"BM_Event": (99.0, True)},
+              "repetitions of one name reduce to their median")
+        check(_exit_code([reps_base, reps_cur,
+                          "--fail-on-regression"]) == 0,
+              "repetitions compare by median, not the last one")
+        check(_exit_code([mixed, kern_base]) == 2,
+              "repetitions reporting different metrics exit 2")
 
         base, cur = merge_pairs([kern_base, kern_fast,
                                  kern_base, kern_slow])

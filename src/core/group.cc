@@ -103,9 +103,6 @@ GroupScheduler::onAttach()
                               const std::vector<net::Rpc *> &reqs) {
         onMigrateIn(g, reqs);
     });
-    msg_->setUpdate([this](unsigned g, unsigned src, std::size_t q) {
-        onUpdate(g, src, q);
-    });
     msg_->setReturn([this](unsigned g, unsigned dst,
                            const std::vector<net::Rpc *> &reqs) {
         onReturn(g, dst, reqs);
@@ -433,10 +430,11 @@ GroupScheduler::runtimeTick(unsigned g)
                             trace::TraceKind::ThresholdRecompute,
                             threshold));
 
-    // Lines 4-13: decide and execute migrations. Under hardening,
-    // quarantined peers are masked to an effectively infinite queue
-    // so neither the decision loop nor the auditor's replay of it
-    // can route work toward them.
+    // Lines 4-13: decide and execute migrations on the peers' latest
+    // UPDATEs. Under hardening, quarantined peers are masked to an
+    // effectively infinite queue so neither the decision loop nor the
+    // auditor's replay of it can route work toward them.
+    msg_->readUpdates(g, grp.qView);
     const std::vector<std::size_t> *view = &grp.qView;
     if (hardened()) {
         maskedScratch_.assign(grp.qView.begin(), grp.qView.end());
@@ -579,12 +577,6 @@ GroupScheduler::onMigrateIn(unsigned g, const std::vector<net::Rpc *> &reqs)
 }
 
 void
-GroupScheduler::onUpdate(unsigned g, unsigned src, std::size_t qlen)
-{
-    groups_[g].qView[src] = qlen;
-}
-
-void
 GroupScheduler::onReturn(unsigned g, unsigned dst,
                          const std::vector<net::Rpc *> &reqs)
 {
@@ -662,6 +654,7 @@ GroupScheduler::retryMigrate(unsigned g, unsigned avoid,
     const unsigned n = static_cast<unsigned>(reqs.size());
 
     // Shortest usable peer, excluding the one that just failed us.
+    msg_->readUpdates(g, grp.qView);
     int best = -1;
     std::size_t best_q = 0;
     for (unsigned d = 0; d < cfg_.numGroups; ++d) {

@@ -231,7 +231,9 @@ class GroupScheduler : public sched::Scheduler
         std::uint64_t idleMask = 0;
         /** Worker-local queues (depth-bounded). */
         std::vector<RingDeque<net::Rpc *>> local;
-        /** Synchronized queue-length view (Algorithm 1's q). */
+        /** Synchronized queue-length view (Algorithm 1's q). Peer
+         *  entries refresh from the UPDATE registers only where the
+         *  runtime reads them (HwMessaging::readUpdates). */
         std::vector<std::size_t> qView;
         /** Next time the manager core is free (Rss variant). */
         Tick managerFree = 0;
@@ -295,7 +297,6 @@ class GroupScheduler : public sched::Scheduler
 
     /** Hardware messaging callbacks. */
     void onMigrateIn(unsigned g, const std::vector<net::Rpc *> &reqs);
-    void onUpdate(unsigned g, unsigned src, std::size_t qlen);
     void onReturn(unsigned g, unsigned dst,
                   const std::vector<net::Rpc *> &reqs);
     void onMigrateAcked(unsigned g, unsigned dst);

@@ -504,6 +504,12 @@ void
 HwMessaging::setManagerDead(unsigned mgr)
 {
     altoc_assert(mgr < deadMgr_.size(), "manager id out of range");
+    // What arrived before the fail-stop stays in the registers; what
+    // arrives after it is discarded.
+    for (unsigned src = 0; src < numManagers(); ++src) {
+        if (src != mgr)
+            settleUpdate(mgr, updates_[src * numManagers() + mgr]);
+    }
     deadMgr_[mgr] = 1;
 }
 
@@ -514,13 +520,32 @@ HwMessaging::broadcastUpdate(unsigned src, std::size_t qlen)
         if (dst == src || deadMgr_[dst] != 0)
             continue;
         UpdateChannel &chan = updates_[src * numManagers() + dst];
-        if (chan.inFlight) {
-            // Coalesce: the newest value supersedes any pending one.
-            chan.hasPending = true;
-            chan.pending = qlen;
+        settleUpdate(dst, chan);
+        if (!chan.inFlight) {
+            launchUpdate(src, dst, qlen);
             continue;
         }
-        launchUpdate(src, dst, qlen);
+        // Coalesce: the newest value supersedes any pending one. The
+        // first one behind an airborne value files the event that
+        // relaunches it when the wire frees.
+        if (!chan.hasPending) {
+            chan.hasPending = true;
+            sim_.atSeq(chan.arriveAt, chan.arriveSeq,
+                       [this, src, dst] { relaunchUpdate(src, dst); });
+        }
+        chan.pending = qlen;
+    }
+}
+
+void
+HwMessaging::readUpdates(unsigned mgr, std::vector<std::size_t> &q)
+{
+    for (unsigned src = 0; src < numManagers(); ++src) {
+        if (src == mgr)
+            continue;
+        UpdateChannel &chan = updates_[src * numManagers() + mgr];
+        settleUpdate(mgr, chan);
+        q[src] = chan.landed;
     }
 }
 
@@ -528,21 +553,38 @@ void
 HwMessaging::launchUpdate(unsigned src, unsigned dst, std::size_t qlen)
 {
     UpdateChannel &chan = updates_[src * numManagers() + dst];
-    chan.inFlight = true;
     ++stats_.updatesSent;
     const Tick flight = cfg_.hardware
                             ? transit(src, dst, hw::kHeaderBytes)
                             : hw::kSwUpdateNs;
-    sim_.after(hw::kControllerNs + flight, [this, src, dst, qlen] {
-        if (update_ && deadMgr_[dst] == 0)
-            update_(dst, src, qlen);
-        UpdateChannel &ch = updates_[src * numManagers() + dst];
-        ch.inFlight = false;
-        if (ch.hasPending) {
-            ch.hasPending = false;
-            launchUpdate(src, dst, ch.pending);
-        }
-    });
+    // The seq is drawn where scheduling the arrival would draw it, so
+    // every other event keeps its position.
+    chan.inFlight = true;
+    chan.airborne = qlen;
+    chan.arriveAt = sim_.now() + hw::kControllerNs + flight;
+    chan.arriveSeq = sim_.reserveSeq();
+}
+
+void
+HwMessaging::settleUpdate(unsigned dst, UpdateChannel &chan)
+{
+    if (!chan.inFlight || chan.hasPending ||
+        !sim_.reached(chan.arriveAt, chan.arriveSeq)) {
+        return;
+    }
+    chan.inFlight = false;
+    if (deadMgr_[dst] == 0)
+        chan.landed = chan.airborne;
+}
+
+void
+HwMessaging::relaunchUpdate(unsigned src, unsigned dst)
+{
+    UpdateChannel &chan = updates_[src * numManagers() + dst];
+    if (deadMgr_[dst] == 0)
+        chan.landed = chan.airborne;
+    chan.hasPending = false;
+    launchUpdate(src, dst, chan.pending);
 }
 
 } // namespace altoc::core

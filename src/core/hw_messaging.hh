@@ -114,10 +114,6 @@ class HwMessaging
     using MigrateInFn = InlineFunction<void(
         unsigned mgr, const std::vector<net::Rpc *> &)>;
 
-    /** Manager @p mgr learned manager @p src has queue length @p q. */
-    using UpdateFn =
-        InlineFunction<void(unsigned mgr, unsigned src, std::size_t q)>;
-
     /** A MIGRATE from @p mgr to @p dst was NACKed and returned its
      *  descriptors to the source. */
     using ReturnFn = InlineFunction<void(
@@ -148,7 +144,6 @@ class HwMessaging
                 std::vector<unsigned> manager_tiles, const Config &cfg);
 
     void setMigrateIn(MigrateInFn fn) { migrateIn_ = std::move(fn); }
-    void setUpdate(UpdateFn fn) { update_ = std::move(fn); }
     void setReturn(ReturnFn fn) { returnFn_ = std::move(fn); }
     void setTimeout(TimeoutFn fn) { timeoutFn_ = std::move(fn); }
     void setAck(AckFn fn) { ackFn_ = std::move(fn); }
@@ -160,9 +155,10 @@ class HwMessaging
      * Mark manager @p mgr fail-stopped: a MIGRATE arriving at it
      * vanishes into the dead receive path (no NACK -- the source's
      * ACK timeout is the only failure signal, exactly like a real
-     * crashed tile), in-flight UPDATEs to it are discarded and
-     * future broadcasts skip it. Only ever called under fault
-     * injection, so the pristine path is untouched.
+     * crashed tile), UPDATEs that arrive after this point are
+     * discarded (those that arrived before stay landed) and future
+     * broadcasts skip it. Only ever called under fault injection, so
+     * the pristine path is untouched.
      */
     void setManagerDead(unsigned mgr);
 
@@ -201,8 +197,25 @@ class HwMessaging
      * frees. This mirrors hardware status registers and keeps tiny
      * periods (Fig. 11's 10 ns sweep) from saturating the
      * scheduling virtual network.
+     *
+     * A delivery is a register write, not an event. Each launch books
+     * the NoC as before and reserves the dispatch position its arrival
+     * event would have had; the value lands when the destination reads
+     * its view (readUpdates) after that position has passed. Only a
+     * coalesced value costs an event: one per airborne value, at the
+     * reserved position, which relaunches the freshest value exactly
+     * where the arrival would have, so its link bookings keep their
+     * order against MIGRATE, ACK and NACK traffic.
      */
     void broadcastUpdate(unsigned src, std::size_t qlen);
+
+    /**
+     * Manager @p mgr reads its status registers: every UPDATE to it
+     * whose arrival has passed lands, and @p q[src] takes the newest
+     * value landed from each other manager src (0 before the first).
+     * @p q[mgr] is left alone.
+     */
+    void readUpdates(unsigned mgr, std::vector<std::size_t> &q);
 
     /** Free MR staging capacity at manager @p mgr right now. */
     unsigned freeMrEntries(unsigned mgr) const;
@@ -234,12 +247,22 @@ class HwMessaging
         unsigned mrInbound = 0;
     };
 
-    /** Per-(src,dst) UPDATE coalescing state. */
+    /** Per-(src,dst) UPDATE channel: the airborne value, the one
+     *  coalesced behind it and the destination's status register. */
     struct UpdateChannel
     {
+        /** The value on the wire and the (tick, seq) its arrival event
+         *  would have had; meaningful while inFlight. */
+        std::size_t airborne = 0;
+        Tick arriveAt = 0;
+        std::uint64_t arriveSeq = 0;
+        /** Newest value broadcast while one was airborne; a real event
+         *  at the arrival's position relaunches it (hasPending). */
+        std::size_t pending = 0;
+        /** Newest value landed at the destination. */
+        std::size_t landed = 0;
         bool inFlight = false;
         bool hasPending = false;
-        std::size_t pending = 0;
     };
 
     /** Lifecycle of one outstanding MIGRATE exchange. */
@@ -317,6 +340,14 @@ class HwMessaging
     /** Launch the freshest value on an idle update channel. */
     void launchUpdate(unsigned src, unsigned dst, std::size_t qlen);
 
+    /** Land @p chan's airborne value at @p dst if its arrival has
+     *  passed and no relaunch event owns it. */
+    void settleUpdate(unsigned dst, UpdateChannel &chan);
+
+    /** The coalescing event at an airborne value's arrival: land it,
+     *  then relaunch the pending value. */
+    void relaunchUpdate(unsigned src, unsigned dst);
+
     void deliverMigrate(std::uint64_t seq);
     void deliverAck(std::uint64_t seq);
     void deliverNack(std::uint64_t seq);
@@ -354,7 +385,6 @@ class HwMessaging
     sim::FaultInjector *faults_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
     MigrateInFn migrateIn_;
-    UpdateFn update_;
     ReturnFn returnFn_;
     TimeoutFn timeoutFn_;
     AckFn ackFn_;

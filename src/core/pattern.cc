@@ -6,7 +6,7 @@
 #include "core/pattern.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
 
 #include "common/logging.hh"
 
@@ -33,15 +33,34 @@ classifyPattern(const std::vector<std::size_t> &q, std::size_t bulk,
                 unsigned concurrency)
 {
     PatternResult res;
-    std::vector<unsigned> rank;
+    std::vector<std::uint64_t> rank;
     classifyPatternInto(q, bulk, concurrency, rank, res);
     return res;
 }
 
+namespace {
+
+/** Ranking key: longer queues first, ties to the lower index, so a
+ *  descending sort of the keys is the ranking every manager computes.
+ *  Packing the order into one integer keeps the sort off q[]. */
+std::uint64_t
+rankKey(std::size_t q, unsigned idx)
+{
+    return static_cast<std::uint64_t>(q) << 16 | (0xffffu - idx);
+}
+
+unsigned
+rankIndex(std::uint64_t key)
+{
+    return 0xffffu - static_cast<unsigned>(key & 0xffffu);
+}
+
+} // namespace
+
 void
 classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
                     unsigned concurrency,
-                    std::vector<unsigned> &rank_scratch,
+                    std::vector<std::uint64_t> &rank_scratch,
                     PatternResult &out)
 {
     PatternResult &res = out;
@@ -50,29 +69,46 @@ classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
     const std::size_t n = q.size();
     if (n < 2 || bulk == 0)
         return;
+    altoc_assert(n <= 0x10000, "%zu managers overflow the ranking key", n);
 
-    // Rank managers by queue length, longest first. Ties break on the
-    // index so every manager computes the identical ranking.
-    std::vector<unsigned> &rank = rank_scratch;
+    // Managers rank by queue length, longest first, ties to the lower
+    // index, so every manager computes the identical ranking. The
+    // packed keys sort in exactly that order. Most periods classify as
+    // None or Valley, which need only both ends of the ranking: one
+    // pass of min/max over the keys finds the two longest and the two
+    // shortest queues without a data-dependent branch.
+    std::vector<std::uint64_t> &rank = rank_scratch;
     rank.resize(n);
-    std::iota(rank.begin(), rank.end(), 0u);
-    std::sort(rank.begin(), rank.end(), [&q](unsigned x, unsigned y) {
-        return q[x] != q[y] ? q[x] > q[y] : x < y;
-    });
-
-    const unsigned longest = rank[0];
-    const unsigned second_longest = rank[1];
-    const unsigned shortest = rank[n - 1];
-    const unsigned second_shortest = rank[n - 2];
+    for (unsigned i = 0; i < n; ++i) {
+        altoc_assert(q[i] >> 48 == 0,
+                     "queue length %zu overflows the ranking key", q[i]);
+        rank[i] = rankKey(q[i], i);
+    }
+    std::uint64_t first = std::max(rank[0], rank[1]);
+    std::uint64_t second = std::min(rank[0], rank[1]);
+    std::uint64_t last = second, next_to_last = first;
+    for (unsigned i = 2; i < n; ++i) {
+        const std::uint64_t k = rank[i];
+        second = std::max(second, std::min(first, k));
+        first = std::max(first, k);
+        next_to_last = std::min(next_to_last, std::max(last, k));
+        last = std::min(last, k);
+    }
+    const unsigned longest = rankIndex(first);
+    const unsigned second_longest = rankIndex(second);
+    const unsigned shortest = rankIndex(last);
+    const unsigned second_shortest = rankIndex(next_to_last);
 
     if (q[longest] >= q[second_longest] + bulk) {
         // Hill: drain the outlier into up to `concurrency` of the
         // shortest other queues.
         res.pattern = Pattern::Hill;
+        // Hill and Pairing walk the whole ranking from both ends.
+        std::sort(rank.begin(), rank.end(), std::greater<>());
         const unsigned dsts =
             std::min<unsigned>(concurrency, static_cast<unsigned>(n) - 1);
         for (unsigned i = 0; i < dsts; ++i) {
-            const unsigned dst = rank[n - 1 - i];
+            const unsigned dst = rankIndex(rank[n - 1 - i]);
             if (dst == longest)
                 continue;
             res.plans.push_back({longest, dst});
@@ -95,11 +131,12 @@ classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
         // Pairing: gradual imbalance; the i-th longest queue feeds
         // the i-th shortest.
         res.pattern = Pattern::Pairing;
+        std::sort(rank.begin(), rank.end(), std::greater<>());
         const unsigned pairs = std::min<unsigned>(
             concurrency, static_cast<unsigned>(n) / 2);
         for (unsigned i = 0; i < pairs; ++i) {
-            const unsigned src = rank[i];
-            const unsigned dst = rank[n - 1 - i];
+            const unsigned src = rankIndex(rank[i]);
+            const unsigned dst = rankIndex(rank[n - 1 - i]);
             if (src == dst || q[src] < q[dst] + bulk)
                 continue;
             res.plans.push_back({src, dst});
@@ -108,8 +145,6 @@ classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
             res.pattern = Pattern::None;
         return;
     }
-
-    return;
 }
 
 } // namespace altoc::core

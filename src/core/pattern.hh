@@ -74,7 +74,7 @@ PatternResult classifyPattern(const std::vector<std::size_t> &q,
  */
 void classifyPatternInto(const std::vector<std::size_t> &q,
                          std::size_t bulk, unsigned concurrency,
-                         std::vector<unsigned> &rank_scratch,
+                         std::vector<std::uint64_t> &rank_scratch,
                          PatternResult &out);
 
 } // namespace altoc::core

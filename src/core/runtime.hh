@@ -44,7 +44,7 @@ struct RuntimeDecision
 struct RuntimeScratch
 {
     PatternResult pattern;
-    std::vector<unsigned> rank;
+    std::vector<std::uint64_t> rank;
     std::vector<unsigned> dests;
     std::vector<unsigned> order;
     std::vector<std::size_t> q;

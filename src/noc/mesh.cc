@@ -6,6 +6,7 @@
 #include "noc/mesh.hh"
 
 #include <cmath>
+#include <cstddef>
 
 #include "common/logging.hh"
 
@@ -20,6 +21,9 @@ Mesh::Mesh(unsigned cols, unsigned rows, Tick per_hop)
     free_.assign(kNumVnets,
                  std::vector<Tick>(static_cast<std::size_t>(tiles()) * 4,
                                    0));
+    coords_.resize(tiles());
+    for (unsigned t = 0; t < tiles(); ++t)
+        coords_[t] = Coord{t % cols_, t / cols_};
 }
 
 Mesh
@@ -37,11 +41,10 @@ Mesh::hops(unsigned src, unsigned dst) const
 {
     altoc_assert(src < tiles() && dst < tiles(),
                  "tile out of range: %u/%u of %u", src, dst, tiles());
-    const int sx = static_cast<int>(src % cols_);
-    const int sy = static_cast<int>(src / cols_);
-    const int dx = static_cast<int>(dst % cols_);
-    const int dy = static_cast<int>(dst / cols_);
-    return static_cast<unsigned>(std::abs(sx - dx) + std::abs(sy - dy));
+    const Coord s = coords_[src];
+    const Coord d = coords_[dst];
+    return (s.x > d.x ? s.x - d.x : d.x - s.x) +
+           (s.y > d.y ? s.y - d.y : d.y - s.y);
 }
 
 Tick
@@ -63,44 +66,40 @@ Mesh::send(unsigned vnet, unsigned src, unsigned dst, std::uint32_t bytes,
     }
 
     const unsigned flits = (bytes + kFlitBytes - 1) / kFlitBytes;
-    auto &occ = free_[vnet];
+    const Tick hold = static_cast<Tick>(flits) * kFlitNs;
+    Tick *const occ = free_[vnet].data();
 
-    // Walk the XY path: first fix x, then y. The head flit pays the
-    // pipeline latency per hop and may wait for each link to drain;
-    // the body flits add serialization on the final hop. The XY walk
-    // already knows which way each hop goes, so the directed-link
-    // index (tile * 4 + direction; 0 = +x, 1 = -x, 2 = +y, 3 = -y)
-    // is computed inline instead of re-deriving it from coordinates.
-    int x = static_cast<int>(src % cols_);
-    int y = static_cast<int>(src / cols_);
-    const int dx = static_cast<int>(dst % cols_);
-    const int dy = static_cast<int>(dst / cols_);
+    // Walk the XY path as two straight runs: first along x, then along
+    // y. The head flit pays the pipeline latency per hop and may wait
+    // for each link to drain; the body flits add serialization on the
+    // final hop. A run knows its direction, so the directed-link index
+    // (tile * 4 + direction; 0 = +x, 1 = -x, 2 = +y, 3 = -y) and the
+    // next tile step by a constant along it.
+    const Coord s = coords_[src];
+    const Coord d = coords_[dst];
     Tick t = depart;
-    unsigned cur = src;
-    while (x != dx || y != dy) {
-        unsigned dir;
-        int nx = x, ny = y;
-        if (x != dx) {
-            dir = dx > x ? 0u : 1u;
-            nx += (dx > x) ? 1 : -1;
-        } else {
-            dir = dy > y ? 2u : 3u;
-            ny += (dy > y) ? 1 : -1;
+    std::size_t cur = src;
+    auto run = [&](unsigned n, unsigned dir, std::ptrdiff_t step) {
+        for (unsigned i = 0; i < n; ++i) {
+            Tick &link = occ[cur * 4 + dir];
+            // Wait for the link, then occupy it for the message's
+            // flits (wormhole-style cut-through: downstream hops
+            // overlap).
+            t = std::max(t, link);
+            link = t + hold;
+            t += perHop_;
+            cur = static_cast<std::size_t>(
+                static_cast<std::ptrdiff_t>(cur) + step);
         }
-        const unsigned next =
-            static_cast<unsigned>(ny) * cols_ + static_cast<unsigned>(nx);
-        const std::size_t link =
-            static_cast<std::size_t>(cur) * 4 + dir;
-        // Wait for the link, then occupy it for the message's flits
-        // (wormhole-style cut-through: downstream hops overlap).
-        t = std::max(t, occ[link]);
-        occ[link] = t + static_cast<Tick>(flits) * kFlitNs;
-        t += perHop_;
-        flitHops_ += flits;
-        cur = next;
-        x = nx;
-        y = ny;
-    }
+    };
+    const bool east = d.x > s.x;
+    const bool south = d.y > s.y;
+    const unsigned hx = east ? d.x - s.x : s.x - d.x;
+    const unsigned hy = south ? d.y - s.y : s.y - d.y;
+    const auto row = static_cast<std::ptrdiff_t>(cols_);
+    run(hx, east ? 0u : 1u, east ? 1 : -1);
+    run(hy, south ? 2u : 3u, south ? row : -row);
+    flitHops_ += static_cast<std::uint64_t>(flits) * (hx + hy);
     // Tail flit serialization on arrival.
     Tick arrive = t + static_cast<Tick>(flits - 1) * kFlitNs;
     if (extraDelay_)

@@ -103,9 +103,18 @@ class Mesh
     std::uint64_t messages() const { return messages_; }
 
   private:
+    /** A tile's (column, row). */
+    struct Coord
+    {
+        unsigned x;
+        unsigned y;
+    };
+
     unsigned cols_;
     unsigned rows_;
     Tick perHop_;
+    /** coords_[tile], tabulated once so routing needs no division. */
+    std::vector<Coord> coords_;
     /** free_[vnet][link] = earliest time the link is idle. */
     std::vector<std::vector<Tick>> free_;
     ExtraDelayFn extraDelay_;

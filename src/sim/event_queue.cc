@@ -309,6 +309,8 @@ EventQueue::dispatchFront(Tick &now_out)
     // fire behind it; the window must not slide back for it.
     if (f.when > cursor_)
         cursor_ = f.when;
+    lastWhen_ = f.when;
+    lastSeq_ = f.seq;
     // Move the closure out before freeing: the callback may schedule,
     // growing slots_ and invalidating any reference into the pool. The
     // slot is released first so cancel(own-id) inside the callback

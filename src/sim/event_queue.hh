@@ -79,9 +79,10 @@ constexpr std::uint64_t kCrossSeqBase = std::uint64_t{1} << 63;
  * event draws seq from one rising counter, so appending it to its
  * bucket keeps every bucket in seq order, and the first bucket at or
  * after the cursor's holds the wheel's (when, seq) minimum at its
- * head. Cross-region events (seq >= kCrossSeqBase), events due a
- * window or more ahead and events due before the cursor go to the
- * heap instead. Dispatch compares the wheel front with the heap top
+ * head. Cross-region events (seq >= kCrossSeqBase), events filed
+ * under a seq reserved earlier (reserveSeq), events due a window or
+ * more ahead and events due before the cursor go to the heap
+ * instead. Dispatch compares the wheel front with the heap top
  * by (when, seq), which is the only place the two residencies meet,
  * so the dispatch sequence is the one a single heap would produce.
  * The cursor only moves forward, to the tick just dispatched, and
@@ -119,20 +120,31 @@ class EventQueue
     }
 
     /**
+     * Draw the next local sequence number without scheduling anything.
+     * The caller owns the sort position (when, seq) that schedule()
+     * would have given an event here, and may file an event under it
+     * later with scheduleAtSeq() -- or never, when it only needs to
+     * know whether that position has been passed (lastWhen/lastSeq).
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
      * Schedule @p cb at @p when under an explicit sort sequence
-     * instead of the insertion counter. The kernel's cross-region
-     * delivery path uses this to give an event the same global
-     * position regardless of which host thread enqueues it; @p seq
-     * must lie in the cross-region subspace (>= kCrossSeqBase) so it
-     * can never collide with or overtake locally drawn sequences.
-     * Such events always go to the heap.
+     * instead of the insertion counter. @p seq is either
+     *  - a cross-region seq (>= kCrossSeqBase): the kernel's delivery
+     *    path uses these to give an event the same global position
+     *    regardless of which host thread enqueues it; or
+     *  - a local seq taken earlier by reserveSeq() (< the counter),
+     *    filed once, before its tick is reached.
+     * Either way the event goes to the heap, so every wheel bucket
+     * keeps holding counter-drawn seqs in append order.
      */
     template <typename F>
     EventId
     scheduleAtSeq(Tick when, std::uint64_t seq, F &&cb)
     {
-        altoc_assert(seq >= kCrossSeqBase,
-                     "explicit seq outside the cross-region subspace");
+        altoc_assert(seq >= kCrossSeqBase || (seq != 0 && seq < nextSeq_),
+                     "explicit seq neither cross-region nor reserved");
         const std::uint32_t slot = parkCallback(std::forward<F>(cb));
         const EventId id = makeId(slot, slots_[slot].gen);
         pushHeap(when, seq, slot);
@@ -217,6 +229,11 @@ class EventQueue
 
     /** Total events executed so far (for perf accounting). */
     std::uint64_t executed() const { return executed_; }
+
+    /** Sort key of the last dispatched event -- the running one,
+     *  inside a callback -- or (0, 0) before the first dispatch. */
+    Tick lastWhen() const { return lastWhen_; }
+    std::uint64_t lastSeq() const { return lastSeq_; }
 
     /** Overflow-heap keys currently held, live + not-yet-swept dead
      *  (test and bench introspection; bounded at < 2x size() + 1). */
@@ -405,6 +422,8 @@ class EventQueue
     std::size_t deadInHeap_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;
+    Tick lastWhen_ = 0;
+    std::uint64_t lastSeq_ = 0;
 };
 
 } // namespace altoc::sim

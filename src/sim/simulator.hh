@@ -73,6 +73,43 @@ class Simulator
     bool cancel(EventId id) { return events_.cancel(id); }
 
     /**
+     * Reserve the dispatch position an event scheduled right now would
+     * take (EventQueue::reserveSeq). Pair it with a tick to name a
+     * deferred effect without an event: reached() says when the
+     * position has been passed, and atSeq() files a real event there
+     * if one is needed after all.
+     */
+    std::uint64_t reserveSeq() { return events_.reserveSeq(); }
+
+    /** Schedule @p cb at (@p when, @p seq), a position reserved by
+     *  reserveSeq() whose tick has not been reached. */
+    template <typename F>
+    EventId
+    atSeq(Tick when, std::uint64_t seq, F &&cb)
+    {
+        altoc_assert(when >= now_, "scheduling in the past: %llu < %llu",
+                     static_cast<unsigned long long>(when),
+                     static_cast<unsigned long long>(now_));
+        return events_.scheduleAtSeq(when, seq, std::forward<F>(cb));
+    }
+
+    /**
+     * True iff an event at (@p when, @p seq) in this simulator's queue
+     * would already have been dispatched: its tick is earlier than
+     * now(), or it is now() and either @p seq sorts below the last
+     * dispatched event (the running one, inside a callback) or a run
+     * bounded by `until` has moved the clock past the last dispatch,
+     * which it does only once every event up to the new time has run.
+     */
+    bool
+    reached(Tick when, std::uint64_t seq) const
+    {
+        return when < now_ ||
+               (when == now_ && (seq < events_.lastSeq() ||
+                                 now_ != events_.lastWhen()));
+    }
+
+    /**
      * Run until the event queue drains or simulated time would pass
      * @p until. Returns the final simulated time.
      */

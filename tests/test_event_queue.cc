@@ -3,11 +3,12 @@
  * Event-kernel tests for the slotted queue: generation-counted handle
  * reuse, mass-cancellation compaction, schedule/cancel interleaving
  * against a reference model over both residencies (timing wheel and
- * overflow heap) and cross-region seqs, tie-break stability, the
- * inline-callback capture-size compile check, the zero-allocation
- * guarantee on the steady-state hot path, and a whole-pipeline bound
- * on allocations and bytes per completed request across a warm
- * runExperiment slice, for one server and for a load-reading rack.
+ * overflow heap), cross-region seqs and late-filed reserved seqs,
+ * tie-break stability, the inline-callback capture-size compile
+ * check, the zero-allocation guarantee on the steady-state hot path,
+ * and a whole-pipeline bound on allocations and bytes per completed
+ * request across a warm runExperiment slice, for one server and for
+ * a load-reading rack.
  */
 
 #include <gtest/gtest.h>
@@ -192,6 +193,11 @@ enum class DelayMix
     /** StraddleWindow plus unique scheduleAtSeq events (seq >=
      *  kCrossSeqBase) at ticks that local events also use. */
     StraddleWithCrossSeq,
+    /** StraddleWithCrossSeq plus local seqs taken by reserveSeq() and
+     *  filed later with scheduleAtSeq(), before their position is
+     *  passed -- or never, once it is -- at ticks that local and
+     *  cross-region events also use. */
+    StraddleWithReservedSeq,
 };
 
 /** Small deterministic generator for the stress test. */
@@ -236,6 +242,16 @@ checkAgainstReferenceModel(DelayMix mix)
     std::size_t cancelled[2] = {}; // [heap, wheel]
     std::size_t crossScheduled = 0;
     std::size_t sameTickAcrossResidency = 0;
+    const bool withCross = mix == DelayMix::StraddleWithCrossSeq ||
+                           mix == DelayMix::StraddleWithReservedSeq;
+    // Reserved positions not filed yet, with the token an event filed
+    // there will carry; and the last dispatched key, which decides
+    // whether one may still be filed.
+    std::vector<std::pair<ModelKey, int>> reserved;
+    ModelKey lastFired{0, 0};
+    std::size_t reservedFiled = 0;
+    std::size_t reservedPassed = 0;
+    std::size_t reservedBehindLater = 0; // filed after a higher seq at its tick
 
     Lcg rnd{12345};
     std::uint64_t seq = 1; // the queue's local counter starts at 1
@@ -256,6 +272,8 @@ checkAgainstReferenceModel(DelayMix mix)
           }
           case 5:
           case 6:
+            if (!reserved.empty() && rnd(2) == 0)
+                return reserved[rnd(reserved.size())].first.first;
             if (!live.empty())
                 return live[rnd(live.size())].key.first;
             return now + rnd(kW);
@@ -281,7 +299,9 @@ checkAgainstReferenceModel(DelayMix mix)
         ASSERT_TRUE(q.peekKey(when, s));
         EXPECT_EQ(std::make_pair(when, s), key);
         now = q.runOne();
+        lastFired = key;
         ASSERT_EQ(now, key.first);
+        ASSERT_EQ(std::make_pair(q.lastWhen(), q.lastSeq()), key);
         ASSERT_EQ(fired.size(), expected.size());
         ASSERT_EQ(fired.back(), expected.back()) << "dispatch order";
     };
@@ -289,8 +309,17 @@ checkAgainstReferenceModel(DelayMix mix)
         const int tok = token++;
         auto cb = [tok, &fired] { fired.push_back(tok); };
         const bool inWheel = when - now < kW;
-        const bool cross =
-            mix == DelayMix::StraddleWithCrossSeq && rnd(4) == 0;
+        const bool cross = withCross && rnd(4) == 0;
+        // Few reservations are open at once, so later schedules often
+        // share their ticks (drawWhen) before they are filed.
+        if (!cross && mix == DelayMix::StraddleWithReservedSeq &&
+            reserved.size() < 8 && rnd(3) == 0) {
+            // Take the position now; the event may be filed later.
+            const ModelKey key{when, q.reserveSeq()};
+            EXPECT_EQ(key.second, seq++);
+            reserved.emplace_back(key, tok);
+            return;
+        }
         ModelKey key;
         EventId id = kNoEvent;
         if (cross) {
@@ -329,9 +358,35 @@ checkAgainstReferenceModel(DelayMix mix)
             model.erase(p.key);
             EXPECT_EQ(q.nextTime(),
                       model.empty() ? kTickInf : model.begin()->first.first);
-        } else if (kind < 99) {
+        } else if (kind < 99 && (kind < 90 || reserved.empty())) {
             if (!model.empty())
                 fireOne();
+        } else if (kind < 99) {
+            // File a reserved position, or retire it once dispatch has
+            // passed it (an event there would already have run).
+            const std::size_t pick = rnd(reserved.size());
+            const auto [key, tok] = reserved[pick];
+            reserved[pick] = reserved.back();
+            reserved.pop_back();
+            if (key < lastFired) {
+                ++reservedPassed;
+            } else {
+                const EventId id = q.scheduleAtSeq(
+                    key.first, key.second,
+                    [tok = tok, &fired] { fired.push_back(tok); });
+                bool sameTick = false, behindLater = false;
+                for (const Pending &p : live) {
+                    if (p.key.first == key.first && p.inWheel) {
+                        sameTick = true;
+                        behindLater |= p.key.second > key.second;
+                    }
+                }
+                sameTickAcrossResidency += sameTick;
+                reservedBehindLater += behindLater;
+                model.emplace(key, tok);
+                live.push_back(Pending{id, key, false});
+                ++reservedFiled;
+            }
         } else if (mix != DelayMix::Near) {
             // Idle jump: drain, then resume more than a window away.
             while (!model.empty())
@@ -366,8 +421,14 @@ checkAgainstReferenceModel(DelayMix mix)
         EXPECT_GT(sameTickAcrossResidency, 0u)
             << "wheel and heap never held one tick";
     }
-    if (mix == DelayMix::StraddleWithCrossSeq) {
+    if (withCross) {
         EXPECT_GT(crossScheduled, 0u);
+    }
+    if (mix == DelayMix::StraddleWithReservedSeq) {
+        EXPECT_GT(reservedFiled, 0u);
+        EXPECT_GT(reservedPassed, 0u);
+        EXPECT_GT(reservedBehindLater, 0u)
+            << "no reserved seq filed behind a later one at its tick";
     }
 }
 
@@ -386,6 +447,11 @@ TEST(EventStress, WindowStraddlingDelaysMatchReferenceModel)
 TEST(EventStress, CrossSeqEventsAtSharedTicksMatchReferenceModel)
 {
     checkAgainstReferenceModel(DelayMix::StraddleWithCrossSeq);
+}
+
+TEST(EventStress, ReservedSeqEventsFiledLateMatchReferenceModel)
+{
+    checkAgainstReferenceModel(DelayMix::StraddleWithReservedSeq);
 }
 
 // ---------------------------------------------------------------------

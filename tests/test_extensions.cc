@@ -48,7 +48,8 @@ TEST(TimeSeries, MultiSeriesStableReferences)
     stats::MultiSeries ms(10);
     stats::TimeSeries &a = ms.series("a");
     for (int i = 0; i < 50; ++i)
-        ms.series("s" + std::to_string(i)).record(1, 1.0);
+        ms.series(std::string("s").append(std::to_string(i)))
+            .record(1, 1.0);
     a.record(5, 42.0); // the reference must still be valid
     EXPECT_EQ(ms.size(), 51u);
     EXPECT_DOUBLE_EQ(ms.at(0).peak(), 42.0);

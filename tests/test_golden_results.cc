@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault_spec.hh"
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 
@@ -153,6 +154,102 @@ TEST(GoldenResults, RssDFcfs) { checkGolden(goldenCases()[0]); }
 TEST(GoldenResults, ZygosWorkStealing) { checkGolden(goldenCases()[1]); }
 TEST(GoldenResults, AcIntegrated) { checkGolden(goldenCases()[2]); }
 TEST(GoldenResults, AcRss) { checkGolden(goldenCases()[3]); }
+
+// ---------------------------------------------------------------------
+// Pinned fingerprints for runtime paths the 2-group scenario above
+// never reaches: UPDATE coalescing under a 10 ns period, faulted runs
+// with manager kills on both AC variants, and software messaging.
+// Each value is what the altocsim command in its comment printed
+// with --requests 5000. No altocsim flag selects software messaging,
+// so the last value was recorded by this test itself, on the model
+// that delivered every UPDATE as an event.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct PinnedRun
+{
+    Design design;
+    unsigned cores;
+    unsigned groups;
+    Tick period;
+    double rateMrps;
+    std::uint64_t seed;
+    const char *faults; // "" = pristine
+    bool hardwareMessaging;
+};
+
+std::string
+pinnedFingerprint(const PinnedRun &p)
+{
+    DesignConfig cfg;
+    cfg.design = p.design;
+    cfg.cores = p.cores;
+    cfg.groups = p.groups;
+    cfg.params.period = p.period;
+    cfg.params.hardwareMessaging = p.hardwareMessaging;
+
+    WorkloadSpec spec;
+    spec.service = workload::makeFixed(1 * kUs);
+    spec.rateMrps = p.rateMrps;
+    spec.requests = 5000;
+    spec.seed = p.seed;
+    if (p.faults[0] != '\0') {
+        spec.faults = sim::FaultSpec::parse(p.faults);
+        spec.faults.seed = p.seed;
+        spec.timeLimit = 500 * kMs;
+    }
+    const RunResult res = runExperiment(cfg, spec);
+    char fp[32];
+    std::snprintf(fp, sizeof fp, "%016" PRIx64, res.fingerprint);
+    return fp;
+}
+
+} // namespace
+
+// altocsim --design AC_int --cores 256 --groups 16 --period 10
+//          --rate 300 --seed 3
+TEST(PinnedFingerprints, AcIntSixteenGroupsCoalescing)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::AcInt, 256, 16, 10, 300.0, 3, "",
+                                 true}),
+              "ff86c2b7c76a8f37");
+}
+
+// altocsim --design AC_int --cores 64 --groups 8 --period 20 --rate 50
+//          --seed 5 --fault-spec drop=0.05,dup=0.03,delay=0.2:300,
+//          stall=1@5000+3000,killm=2@20000
+TEST(PinnedFingerprints, AcIntFaultedManagerKill)
+{
+    EXPECT_EQ(pinnedFingerprint(
+                  {Design::AcInt, 64, 8, 20, 50.0, 5,
+                   "drop=0.05,dup=0.03,delay=0.2:300,stall=1@5000+3000,"
+                   "killm=2@20000",
+                   true}),
+              "6869bf003b678f3f");
+}
+
+// altocsim --design AC_rss --cores 64 --groups 8 --period 50 --rate 40
+//          --seed 6 --fault-spec drop=0.02,exhaust=0.1:2000,
+//          killm=3@20000,killm=5@40000,stallp=0.05:5000
+TEST(PinnedFingerprints, AcRssFaultedTwoManagerKills)
+{
+    EXPECT_EQ(pinnedFingerprint(
+                  {Design::AcRss, 64, 8, 50, 40.0, 6,
+                   "drop=0.02,exhaust=0.1:2000,killm=3@20000,"
+                   "killm=5@40000,stallp=0.05:5000",
+                   true}),
+              "5f823b63b9e768b7");
+}
+
+// Software (shared-cache) messaging: UPDATEs take hw::kSwUpdateNs,
+// three times the period, and book no NoC links.
+TEST(PinnedFingerprints, AcIntSoftwareMessaging)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::AcInt, 64, 8, 50, 40.0, 7, "",
+                                 false}),
+              "aa68bd5d16884449");
+}
 
 int
 main(int argc, char **argv)

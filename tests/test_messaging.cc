@@ -23,7 +23,6 @@ struct MsgHarness
 
     std::vector<std::pair<unsigned, std::size_t>> delivered; // (mgr, n)
     std::vector<std::pair<unsigned, std::size_t>> returned;  // (mgr, n)
-    std::vector<std::tuple<unsigned, unsigned, std::size_t>> updates;
 
     explicit MsgHarness(HwMessaging::Config cfg = {},
                         std::vector<unsigned> tiles = {0, 3, 12, 15})
@@ -37,9 +36,24 @@ struct MsgHarness
                               const std::vector<net::Rpc *> &reqs) {
             returned.emplace_back(mgr, reqs.size());
         });
-        msg->setUpdate([this](unsigned mgr, unsigned src, std::size_t q) {
-            updates.emplace_back(mgr, src, q);
+    }
+
+    /** Drain the queue, then have every manager read its UPDATE
+     *  registers from an event @p delay ticks later, as its runtime
+     *  would. views[mgr][src]; a manager's own entry stays 0. */
+    std::vector<std::vector<std::size_t>>
+    readViewsAfter(Tick delay)
+    {
+        const unsigned n = msg->numManagers();
+        std::vector<std::vector<std::size_t>> views(
+            n, std::vector<std::size_t>(n, 0));
+        sim.run();
+        sim.after(delay, [this, &views, n] {
+            for (unsigned m = 0; m < n; ++m)
+                msg->readUpdates(m, views[m]);
         });
+        sim.run();
+        return views;
     }
 
     std::vector<net::Rpc *>
@@ -137,14 +151,59 @@ TEST(HwMessaging, UpdateBroadcastReachesAllOthers)
 {
     MsgHarness h;
     h.msg->broadcastUpdate(1, 42);
-    h.sim.run();
-    ASSERT_EQ(h.updates.size(), 3u);
-    for (auto &[mgr, src, q] : h.updates) {
-        EXPECT_NE(mgr, 1u);
-        EXPECT_EQ(src, 1u);
-        EXPECT_EQ(q, 42u);
+    const auto views = h.readViewsAfter(1000);
+    for (unsigned mgr = 0; mgr < 4; ++mgr) {
+        for (unsigned src = 0; src < 4; ++src) {
+            EXPECT_EQ(views[mgr][src], mgr != 1 && src == 1 ? 42u : 0u)
+                << "manager " << mgr << " reading " << src;
+        }
     }
     EXPECT_EQ(h.msg->stats().updatesSent, 3u);
+}
+
+TEST(HwMessaging, UpdateLandsInDispatchOrderWithinItsTick)
+{
+    // An arrival sorts where its delivery event would have: after
+    // everything filed before the launch at its tick, before
+    // everything filed after it. Manager 0 (tile 0) -> manager 1
+    // (tile 3) on an idle mesh.
+    MsgHarness h;
+    const Tick arrive = hw::kControllerNs + h.mesh.flightTime(0, 3);
+    std::vector<std::size_t> before(4, 0), after(4, 0), later(4, 0);
+    h.sim.at(arrive, [&] { h.msg->readUpdates(1, before); });
+    h.msg->broadcastUpdate(0, 7);
+    h.sim.at(arrive, [&] { h.msg->readUpdates(1, after); });
+    h.sim.at(arrive - 1, [&] { h.msg->readUpdates(1, later); });
+    h.sim.run();
+    EXPECT_EQ(before[0], 0u);
+    EXPECT_EQ(after[0], 7u);
+    EXPECT_EQ(later[0], 0u) << "a tick early";
+}
+
+TEST(HwMessaging, UpdatesToADeadManagerStopAtTheFailStop)
+{
+    // Manager 0's UPDATE reaches manager 1 before it fail-stops and
+    // stays in its registers, although nothing read them in time;
+    // manager 2's arrives after and is dropped. Later broadcasts skip
+    // the dead manager.
+    MsgHarness h;
+    const Tick arrive0 = hw::kControllerNs + h.mesh.flightTime(0, 3);
+    std::vector<std::size_t> view(4, 0);
+    std::uint64_t sentBeforeKill = 0;
+    h.msg->broadcastUpdate(0, 5);
+    h.sim.at(arrive0 + 10, [&] { h.msg->broadcastUpdate(2, 9); });
+    h.sim.at(arrive0 + 11, [&] {
+        h.msg->setManagerDead(1);
+        sentBeforeKill = h.msg->stats().updatesSent;
+        h.msg->broadcastUpdate(0, 6);
+    });
+    h.sim.at(arrive0 + 1000, [&] { h.msg->readUpdates(1, view); });
+    h.sim.run();
+    EXPECT_EQ(view[0], 5u);
+    EXPECT_EQ(view[2], 0u);
+    EXPECT_EQ(view[3], 0u);
+    EXPECT_EQ(sentBeforeKill, 6u);
+    EXPECT_EQ(h.msg->stats().updatesSent, sentBeforeKill + 2);
 }
 
 TEST(HwMessaging, SoftwareFallbackIsSlower)
@@ -189,31 +248,30 @@ TEST(HwMessaging, UpdateCoalescingBoundsTraffic)
     MsgHarness h;
     for (std::size_t q = 0; q < 1000; ++q)
         h.msg->broadcastUpdate(0, q);
-    h.sim.run();
+    const auto views = h.readViewsAfter(1000);
     // 3 destinations; first value flies immediately, later ones
     // coalesce into (few) follow-ups.
     EXPECT_LE(h.msg->stats().updatesSent, 3u * 4u);
-    // Every destination must end at the freshest value.
-    std::size_t last_seen[4] = {~0ull, ~0ull, ~0ull, ~0ull};
-    for (auto &[mgr, src, q] : h.updates) {
-        EXPECT_EQ(src, 0u);
-        last_seen[mgr] = q;
+    // Every destination must end at the freshest value, and hear
+    // from manager 0 only.
+    for (unsigned mgr = 1; mgr < 4; ++mgr) {
+        EXPECT_EQ(views[mgr][0], 999u);
+        for (unsigned src = 1; src < 4; ++src)
+            EXPECT_EQ(views[mgr][src], 0u);
     }
-    for (unsigned mgr = 1; mgr < 4; ++mgr)
-        EXPECT_EQ(last_seen[mgr], 999u);
 }
 
 TEST(HwMessaging, UpdateChannelRecoversAfterIdle)
 {
     MsgHarness h;
     h.msg->broadcastUpdate(0, 1);
-    h.sim.run();
+    EXPECT_EQ(h.readViewsAfter(1000)[1][0], 1u);
     const auto first_batch = h.msg->stats().updatesSent;
     h.msg->broadcastUpdate(0, 2);
-    h.sim.run();
     // Channel went idle, so the second broadcast sends fresh
     // messages to all three peers again.
     EXPECT_EQ(h.msg->stats().updatesSent, first_batch + 3);
+    EXPECT_EQ(h.readViewsAfter(1000)[1][0], 2u);
 }
 
 TEST(HwMessaging, ConcurrentMigrationsBetweenDisjointPairs)

@@ -186,7 +186,8 @@ TEST(Partition, ScanWalksManyEntries)
 {
     Partition part(1 << 10, 1 << 20);
     for (int i = 0; i < 500; ++i)
-        part.set("k" + std::to_string(i), std::string(512, 'v'));
+        part.set(std::string("k").append(std::to_string(i)),
+                 std::string(512, 'v'));
     const OpResult res = part.scan(400);
     EXPECT_TRUE(res.hit);
     EXPECT_GE(res.memAccesses, 400u);

@@ -167,6 +167,52 @@ TEST(Simulator, RequestStopHaltsRun)
     EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, ReachedFollowsTheDispatchPosition)
+{
+    // A reserved position (tick, seq) counts as reached exactly when
+    // an event filed there would already have run.
+    Simulator sim;
+    const std::uint64_t lo = sim.reserveSeq();
+    bool checked = false;
+    sim.at(10, [&] {
+        checked = true;
+        EXPECT_TRUE(sim.reached(9, ~std::uint64_t{0} >> 1))
+            << "earlier tick";
+        EXPECT_TRUE(sim.reached(10, lo)) << "same tick, lower seq";
+        EXPECT_FALSE(sim.reached(10, lo + 2)) << "same tick, higher seq";
+        EXPECT_FALSE(sim.reached(11, lo)) << "later tick";
+    });
+    const std::uint64_t hi = sim.reserveSeq();
+    EXPECT_EQ(hi, lo + 2);
+    EXPECT_FALSE(sim.reached(0, lo)) << "nothing dispatched yet";
+    sim.run(10);
+    EXPECT_TRUE(checked);
+    EXPECT_TRUE(sim.reached(10, lo));
+    EXPECT_FALSE(sim.reached(10, hi)) << "the clock sits on the last event";
+    // run(until) moves the clock past the last dispatch only once
+    // every event up to `until` has run.
+    sim.run(25);
+    EXPECT_EQ(sim.now(), 25u);
+    EXPECT_TRUE(sim.reached(10, hi));
+    EXPECT_TRUE(sim.reached(25, hi));
+    EXPECT_FALSE(sim.reached(26, lo));
+}
+
+TEST(Simulator, EventAtAReservedSeqRunsInItsPlace)
+{
+    // An event filed late under a reserved seq runs where one
+    // scheduled at the reservation would have, ahead of same-tick
+    // events scheduled in between.
+    Simulator sim;
+    std::vector<int> order;
+    sim.at(5, [&] { order.push_back(0); });
+    const std::uint64_t seq = sim.reserveSeq();
+    sim.at(5, [&] { order.push_back(2); });
+    sim.at(1, [&] { sim.atSeq(5, seq, [&] { order.push_back(1); }); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(Simulator, ManyEventsStressOrdering)
 {
     Simulator sim;
