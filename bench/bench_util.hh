@@ -69,12 +69,6 @@ section(const char *title)
  *   --tor-policy P inter-server dispatch policy for --rack runs:
  *                  random, rr, p2c (power-of-2-choices, default),
  *                  or ll (least-loaded).
- *   --shards N     worker threads for the sharded event kernel
- *                  inside each --rack run (sim/kernel.hh). Results
- *                  are bit-identical for every N; configurations
- *                  that cannot shard are downgraded with a log
- *                  line, and runMany fits --jobs x --shards to the
- *                  host.
  */
 struct Options
 {
@@ -84,7 +78,6 @@ struct Options
     bool trace = false;
     std::string traceFile; //!< empty = rings stay in memory
     unsigned rack = 1;     //!< servers behind the ToR (1 = no rack)
-    unsigned shards = 1;   //!< kernel shards per run (1 = serial)
     altoc::system::TorPolicy torPolicy =
         altoc::system::TorPolicy::PowerOfK;
 
@@ -141,23 +134,13 @@ parseArgs(int argc, char **argv)
             if (v < 1)
                 fatal("--rack must be >= 1");
             opt.rack = static_cast<unsigned>(v);
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            // Same reject-at-parse contract as the fault grammar:
-            // name the key and the offending value.
-            const char *raw = value("--shards");
-            char *rest = nullptr;
-            const long v = std::strtol(raw, &rest, 10);
-            if (rest == raw || *rest != '\0' || v < 1)
-                fatal("--shards needs a positive integer, got '%s'",
-                      raw);
-            opt.shards = static_cast<unsigned>(v);
         } else if (std::strcmp(arg, "--tor-policy") == 0) {
             opt.torPolicy = altoc::system::torPolicyFromName(
                 value("--tor-policy"));
         } else {
             fatal("unknown argument '%s' (supported: --jobs N, "
                   "--scale X, --fault-spec S, --trace[=FILE], "
-                  "--rack N, --shards N, --tor-policy P)", arg);
+                  "--rack N, --tor-policy P)", arg);
         }
     }
     if (opt.faultSpec.empty()) {

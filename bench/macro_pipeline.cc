@@ -17,10 +17,12 @@
  * The workload is the Fig. 10 figure-scale mix — Bimodal(0.5%,
  * 0.5us, 50us) on 16 cores at 10 MRPS (~47% load) — stable for
  * every design yet deep enough that queues, preemption (Shinjuku)
- * and inter-group migration (AC) all stay exercised. Each iteration
- * also folds the run fingerprint into the checksum counter so a
- * determinism break shows up as a changed user counter, not just in
- * the golden suite.
+ * and inter-group migration (AC) all stay exercised. Every
+ * iteration must reproduce the first one's run fingerprint, or the
+ * benchmark fails with an error, so a determinism break shows up
+ * here and not just in the golden suite. The fingerprint_fold
+ * counter reports that fingerprint's low 32 bits, which do not
+ * depend on how many iterations google-benchmark chose.
  */
 
 #include <benchmark/benchmark.h>
@@ -64,16 +66,24 @@ runMacroCfg(benchmark::State &state, const DesignConfig &cfg)
 {
     const WorkloadSpec spec = macroSpec();
     std::uint64_t completed = 0;
-    Fnv1a digest;
+    std::uint64_t fingerprint = 0;
+    bool first = true;
     for (auto _ : state) {
         const RunResult res = runExperiment(cfg, spec);
         completed += res.completed;
-        digest.mix(res.fingerprint);
+        if (first) {
+            fingerprint = res.fingerprint;
+            first = false;
+        } else if (res.fingerprint != fingerprint) {
+            state.SkipWithError("run fingerprint differs between "
+                                "iterations");
+            break;
+        }
         benchmark::DoNotOptimize(res.completed);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(completed));
-    state.counters["fingerprint_fold"] = static_cast<double>(
-        digest.digest() & 0xffffffffu);
+    state.counters["fingerprint_fold"] =
+        static_cast<double>(fingerprint & 0xffffffffu);
 }
 
 void

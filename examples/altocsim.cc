@@ -52,7 +52,6 @@ struct Options
     bool no_migration = false;
     std::uint64_t seed = 1;
     unsigned rack = 1;
-    unsigned shards = 1;
     std::string tor_policy = "p2c";
     unsigned tor_k = 2;
     bool csv = false;
@@ -91,8 +90,6 @@ usage(int code)
         "  --no-migration     disable proactive migration\n"
         "  --seed N           RNG seed                   [1]\n"
         "  --rack N           servers behind one ToR     [1]\n"
-        "  --shards N         kernel threads for a --rack run\n"
-        "                     (bit-identical results)    [1]\n"
         "  --tor-policy P     random | rr | p2c | ll     [p2c]\n"
         "  --tor-k N          sampled servers per p2c\n"
         "                     decision                   [2]\n"
@@ -189,19 +186,7 @@ parse(int argc, char **argv)
             opt.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
         else if (!std::strcmp(arg, "--rack"))
             opt.rack = static_cast<unsigned>(std::atoi(need(i)));
-        else if (!std::strcmp(arg, "--shards")) {
-            const char *raw = need(i);
-            char *rest = nullptr;
-            const long v = std::strtol(raw, &rest, 10);
-            if (rest == raw || *rest != '\0' || v < 1) {
-                std::fprintf(stderr,
-                             "--shards needs a positive integer, "
-                             "got '%s'\n",
-                             raw);
-                usage(2);
-            }
-            opt.shards = static_cast<unsigned>(v);
-        } else if (!std::strcmp(arg, "--tor-policy"))
+        else if (!std::strcmp(arg, "--tor-policy"))
             opt.tor_policy = need(i);
         else if (!std::strcmp(arg, "--tor-k"))
             opt.tor_k = static_cast<unsigned>(std::atoi(need(i)));
@@ -272,7 +257,6 @@ main(int argc, char **argv)
     cfg.rack.servers = opt.rack;
     cfg.rack.policy = torPolicyFromName(opt.tor_policy);
     cfg.rack.sampleK = opt.tor_k;
-    cfg.shards = opt.shards;
 
     WorkloadSpec spec;
     spec.service = makeDist(opt);

@@ -31,8 +31,9 @@ Exit codes:
     1  at least one regression beyond --threshold, and
        --fail-on-regression was given; or --self-test failed
     2  malformed input (missing file, bad JSON, no benchmarks, an odd
-       number of reports) -- always fatal, so a crashed or truncated
-       bench run cannot pass silently
+       number of reports) or a benchmark that reported an error (e.g.
+       macro_pipeline's fingerprint check) -- always fatal, so a
+       crashed, truncated or failed bench run cannot pass silently
 """
 
 import argparse
@@ -66,6 +67,11 @@ def load_report(path):
         name = bench.get("name")
         if not name or bench.get("run_type") == "aggregate":
             continue
+        if bench.get("error_occurred"):
+            print(f"error: {path}: {name} failed: "
+                  f"{bench.get('error_message', '(no message)')}",
+                  file=sys.stderr)
+            raise SystemExit(2)
         if "items_per_second" in bench:
             entry = (float(bench["items_per_second"]), True)
         elif "real_time" in bench:
@@ -244,6 +250,11 @@ def self_test():
         mixed = _write(tmp, "mixed.json", _report([
             {"name": "BM_Event", "items_per_second": 1.0},
             {"name": "BM_Event", "real_time": 1.0}]))
+        errored = _write(tmp, "err.json", _report([
+            {"name": "BM_MacroAcInt", "real_time": 0.0,
+             "error_occurred": True,
+             "error_message": "run fingerprint differs between "
+                              "iterations"}]))
         bad_json = _write(tmp, "bad.json", "{not json")
         empty = _write(tmp, "empty.json", {"benchmarks": []})
 
@@ -279,6 +290,8 @@ def self_test():
               "repetitions compare by median, not the last one")
         check(_exit_code([mixed, kern_base]) == 2,
               "repetitions reporting different metrics exit 2")
+        check(_exit_code([macro_base, errored]) == 2,
+              "a benchmark that reported an error exits 2")
 
         base, cur = merge_pairs([kern_base, kern_fast,
                                  kern_base, kern_slow])

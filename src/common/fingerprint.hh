@@ -10,9 +10,8 @@
  * the serial sweep's digests element-wise (tests/test_parallel_run.cc).
  *
  * RunDigest is the one place that scheme is written down:
- * runExperiment, its sharded replay and bench::RunFingerprint all
- * fold events through it, so the golden files and the bench output
- * cannot drift apart.
+ * runExperiment and bench::RunFingerprint both fold events through
+ * it, so the golden files and the bench output cannot drift apart.
  */
 
 #ifndef ALTOC_COMMON_FINGERPRINT_HH

@@ -28,7 +28,7 @@ ThreadPool::ThreadPool(unsigned threads)
         return; // inline fallback: no workers, submit() executes
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this] { workerMain(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -49,7 +49,7 @@ ThreadPool::onWorkerThread() const
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerMain()
 {
     tls_owner = this;
     for (;;) {

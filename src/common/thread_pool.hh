@@ -98,7 +98,7 @@ class ThreadPool
     static unsigned defaultJobs();
 
   private:
-    void workerLoop() ALTOC_EXCLUDES(mutex_);
+    void workerMain() ALTOC_EXCLUDES(mutex_);
 
     std::vector<std::thread> workers_;
     mutable Mutex mutex_;

@@ -61,14 +61,6 @@ class RackLink
 
     Tick latency() const { return latency_; }
 
-    /**
-     * Lower bound on now-to-delivery for any frame: propagation plus
-     * the >= 1 ns serialization floor. This is the conservative
-     * lookahead a sharded kernel may advance a server region ahead
-     * of the ToR by -- no event can cross this link in less.
-     */
-    Tick minDelivery() const { return latency_ + 1; }
-
     /** Frames sent over this link so far. */
     std::uint64_t sent() const { return sent_; }
 

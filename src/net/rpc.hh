@@ -101,10 +101,10 @@ struct Rpc
  * a load generator decides, none of the server-side bookkeeping. A
  * rack's ToR fills one of these per dispatch and the *receiving*
  * server materializes the Rpc from it on arrival (Server::injectWire)
- * -- the descriptor pool is then only ever touched from the server's
- * own event-kernel region, which is what lets a sharded kernel run
- * servers on different threads. Sized to ride in a 48-byte InlineFn
- * capture alongside the target Server pointer.
+ * -- so a server's descriptor pool is only ever touched by events of
+ * that server's own event-kernel region, and a request in flight on
+ * the rack link holds no descriptor. Sized to ride in a 48-byte
+ * InlineFn capture alongside the target Server pointer.
  */
 struct WireRpc
 {

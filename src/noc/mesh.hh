@@ -67,16 +67,6 @@ class Mesh
     Tick flightTime(unsigned src, unsigned dst) const;
 
     /**
-     * Lower bound on cross-tile delivery: one hop's pipeline delay.
-     * This is the conservative lookahead an intra-server sharding of
-     * the kernel would be limited to -- ~3 ns, thousands of events
-     * short of amortizing a window barrier, which is why the sharded
-     * kernel (sim/kernel.hh) partitions at rack granularity (the
-     * ~1 us rack link) and treats each server's NoC as shard-private.
-     */
-    Tick minDelivery() const { return perHop_; }
-
-    /**
      * Send a message of @p bytes from @p src to @p dst on virtual
      * network @p vnet, departing at @p depart. Returns the delivery
      * time, accounting for link contention along the XY path.

@@ -62,9 +62,10 @@ constexpr EventId kNoEvent = 0;
  * another kernel region (sim/kernel.hh) carry an explicit seq with
  * this bit set, composed from (sender region, sender counter). At
  * equal tick, every cross-region event therefore sorts after every
- * locally scheduled one, and the composed seq is a pure function of
- * the sender -- identical no matter how many shards the kernel runs,
- * which is what keeps sharded runs bit-identical to serial ones.
+ * locally scheduled one, whenever either was scheduled, and
+ * cross-region events from one sender keep the order it sent them in.
+ * Every federated run's results depend on that order (the rack_ac_p2c
+ * golden pins it).
  */
 constexpr std::uint64_t kCrossSeqBase = std::uint64_t{1} << 63;
 
@@ -132,8 +133,8 @@ class EventQueue
      * Schedule @p cb at @p when under an explicit sort sequence
      * instead of the insertion counter. @p seq is either
      *  - a cross-region seq (>= kCrossSeqBase): the kernel's delivery
-     *    path uses these to give an event the same global position
-     *    regardless of which host thread enqueues it; or
+     *    path uses these to place an event by its sender's stream
+     *    (Kernel::crossSchedule); or
      *  - a local seq taken earlier by reserveSeq() (< the counter),
      *    filed once, before its tick is reached.
      * Either way the event goes to the heap, so every wheel bucket

@@ -23,13 +23,6 @@ FaultSpec::enabled() const
            !scopedDrops.empty();
 }
 
-bool
-FaultSpec::hasKills() const
-{
-    return killProb > 0.0 || !kills.empty() || !managerKills.empty() ||
-           !scopedKills.empty() || !scopedManagerKills.empty();
-}
-
 FaultSpec
 FaultSpec::forServer(unsigned server) const
 {

@@ -161,12 +161,6 @@ struct FaultSpec
     /** True when any fault can actually fire. */
     bool enabled() const;
 
-    /** True when the spec schedules any fail-stop (kill, killm,
-     *  killp, or their scoped forms). Server deaths fan state back
-     *  into the ToR (dead-server steering), so a rack downgrades
-     *  sharded execution to the serial kernel for such specs. */
-    bool hasKills() const;
-
     /** Parse the "key=value,..." grammar above; panics on errors. */
     static FaultSpec parse(std::string_view text);
 

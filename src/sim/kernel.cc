@@ -1,105 +1,25 @@
 /**
  * @file
- * Kernel implementation: the serial (tick, region, seq) merge loop
- * and the conservative window-parallel executor.
- *
- * Window protocol (runWindows). The calling thread is the
- * controller; each shard gets one worker thread. Per window:
- *
- *   1. boundary (workers quiescent): the controller peeks every
- *      region for the earliest pending tick winStart, evaluates the
- *      stop flag, the parallel gate and the reconciled audit state,
- *      and either exits the parallel phase or publishes winEnd =
- *      winStart + lookahead (clamped to the run bound);
- *   2. dispatch: epoch_ advances; every worker dispatches its own
- *      regions' events with tick < winEnd in (tick, region, seq)
- *      order, sweeping its incoming channels every kDrainStride
- *      dispatches and while it spins -- a shard blocked pushing into
- *      a full channel is always simultaneously emptying the channels
- *      others might be blocked on, so backpressure cannot deadlock;
- *   3. settle: once every worker signaled doneDispatch_ no producer
- *      is active; drainSeq_ advances and each worker performs one
- *      final, now-complete sweep of its channels, then signals
- *      doneDrain_ and parks. The controller is back at (1) with
- *      every cross-window event already inserted.
- *
- * Exactness: a cross-region event sent at tick t carries tick >=
- * t + lookahead >= winEnd, so nothing received mid-window is
- * dispatchable in that window and the per-shard order equals the
- * serial merge loop's order restricted to that shard's regions.
- * Same-tick events in different regions commute (cross-region
- * interaction only travels on >= lookahead-latency messages), so
- * the global order is observably identical to the serial loop's.
+ * Kernel implementation: the (tick, region, seq) merge loop.
  */
 
 #include "sim/kernel.hh"
 
 #include <algorithm>
-#include <thread>
 
 namespace altoc::sim {
-
-namespace {
-
-/** Polite busy-wait hint for the barrier spins (windows are short --
- *  microseconds of host time -- so parking on a futex would dominate
- *  the window itself). */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield" ::: "memory");
-#else
-    std::this_thread::yield();
-#endif
-}
-
-/**
- * Two-stage barrier wait: pause-spin while the wait is short (the
- * common case on a dedicated core -- the window turnaround is
- * microseconds), then fall back to yielding so an oversubscribed
- * host (more shards than cores, or a parallel batch sharing the
- * machine) advances at context-switch speed instead of burning whole
- * scheduler quanta in pause loops. Results never depend on timing --
- * this is purely a progress/efficiency knob.
- */
-class SpinWait
-{
-  public:
-    void
-    pause()
-    {
-        if (++spins_ < kSpinLimit)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-
-  private:
-    static constexpr unsigned kSpinLimit = 1024;
-    unsigned spins_ = 0;
-};
-
-} // namespace
-
-Kernel::~Kernel() = default;
 
 Simulator &
 Kernel::addRegion()
 {
     regions_.push_back(std::make_unique<Simulator>());
     crossCtr_.push_back(0);
-    auditSeen_.push_back(0);
     if (regions_.size() > 1) {
         // Multi-region worlds route every region's requestStop()
         // through the kernel flag; a lone region keeps the classic
         // self-contained wiring (and run() delegates wholesale).
-        for (unsigned r = 0; r < regions_.size(); ++r) {
-            regions_[r]->kernel_ = this;
-            regions_[r]->regionIdx_ = r;
-        }
+        for (auto &s : regions_)
+            s->kernel_ = this;
     }
     return *regions_.back();
 }
@@ -149,18 +69,17 @@ Kernel::dispatchOne(unsigned r)
 }
 
 Tick
-Kernel::runMergeLoop(Tick until)
+Kernel::run(Tick until)
 {
+    altoc_assert(!regions_.empty(), "kernel has no regions");
+    if (numRegions() == 1)
+        return regions_[0]->run(until);
+    stopFlag_ = false;
     const unsigned n = numRegions();
     front_.assign(n, kTickInf);
     for (unsigned r = 0; r < n; ++r)
         front_[r] = regions_[r]->events_.peekTime();
-    bool stopped = false;
-    for (;;) {
-        if (stopFlag_.load(std::memory_order_acquire)) {
-            stopped = true;
-            break;
-        }
+    while (!stopFlag_) {
         unsigned best = n;
         Tick bw = kTickInf;
         for (unsigned r = 0; r < n; ++r) {
@@ -181,231 +100,12 @@ Kernel::runMergeLoop(Tick until)
     // region clock is synchronized to the global final time so
     // per-region elapsed-time stats agree, as they did when all
     // components shared one clock.
-    Tick fin = 0;
-    for (const auto &s : regions_)
-        fin = std::max(fin, s->now_);
-    if (!stopped && until != kTickInf && fin < until)
+    Tick fin = now();
+    if (!stopFlag_ && until != kTickInf && fin < until)
         fin = until;
     for (auto &s : regions_)
         s->now_ = fin;
     return fin;
-}
-
-Tick
-Kernel::run(Tick until)
-{
-    altoc_assert(!regions_.empty(), "kernel has no regions");
-    if (numRegions() == 1)
-        return regions_[0]->run(until);
-    stopFlag_.store(false, std::memory_order_relaxed);
-    return runMergeLoop(until);
-}
-
-Tick
-Kernel::runSharded(const ShardPlan &plan, Tick until, ParallelGate gate)
-{
-    windows_ = 0;
-    if (numRegions() <= 1 || plan.shards <= 1)
-        return run(until);
-    altoc_assert(plan.shardOf.size() == regions_.size(),
-                 "shard plan does not cover every region");
-    for (unsigned s : plan.shardOf) {
-        altoc_assert(s < plan.shards,
-                     "shard plan maps a region past the shard count");
-    }
-    altoc_assert(plan.lookahead >= 1,
-                 "sharded execution needs a positive lookahead");
-    stopFlag_.store(false, std::memory_order_relaxed);
-    runWindows(plan, until, gate);
-    return runMergeLoop(until);
-}
-
-void
-Kernel::runWindows(const ShardPlan &plan, Tick until, ParallelGate &gate)
-{
-    const unsigned nShards = plan.shards;
-    shardOf_ = plan.shardOf;
-    shards_ = nShards;
-
-    std::vector<std::vector<unsigned>> owned(nShards);
-    for (unsigned r = 0; r < numRegions(); ++r)
-        owned[shardOf_[r]].push_back(r);
-
-    rings_.clear();
-    rings_.reserve(static_cast<std::size_t>(nShards) * nShards);
-    for (unsigned i = 0; i < nShards * nShards; ++i)
-        rings_.push_back(std::make_unique<SpscRing<CrossEvent>>(kRingSlots));
-
-    {
-        MutexLock lock(auditMu_);
-        auditViolations_ = 0;
-    }
-    for (unsigned r = 0; r < numRegions(); ++r) {
-        auditSeen_[r] = 0;
-#if ALTOC_AUDIT_ENABLED
-        if (const Auditor *a = regions_[r]->auditor_)
-            auditSeen_[r] = a->violationCount();
-#endif
-    }
-
-    epoch_.store(0, std::memory_order_relaxed);
-    drainSeq_.store(0, std::memory_order_relaxed);
-    doneDispatch_.store(0, std::memory_order_relaxed);
-    doneDrain_.store(0, std::memory_order_relaxed);
-    exit_.store(false, std::memory_order_relaxed);
-    parallelActive_ = true;
-
-    std::vector<std::thread> threads;
-    threads.reserve(nShards);
-    for (unsigned j = 0; j < nShards; ++j)
-        threads.emplace_back([this, j, &owned] { workerLoop(j, owned[j]); });
-
-    std::uint64_t ep = 0;
-    for (;;) {
-        // Boundary: workers are quiescent (start, or doneDrain_
-        // observed with acquire order), so peeking region queues and
-        // evaluating the gate read a settled world.
-        Tick winStart = kTickInf;
-        for (const auto &s : regions_) {
-            const Tick w = s->events_.peekTime();
-            if (w < winStart)
-                winStart = w;
-        }
-        if (winStart == kTickInf || winStart > until)
-            break;
-        if (stopFlag_.load(std::memory_order_acquire))
-            break;
-        if (gate && !gate())
-            break;
-        if (!auditClean())
-            break;
-        Tick winEnd = winStart + plan.lookahead;
-        if (winEnd < winStart) // lookahead overflow
-            winEnd = kTickInf;
-        if (until != kTickInf && winEnd > until)
-            winEnd = until + 1; // dispatch strictly-below: covers until
-        winEnd_.store(winEnd, std::memory_order_relaxed);
-        doneDispatch_.store(0, std::memory_order_relaxed);
-        doneDrain_.store(0, std::memory_order_relaxed);
-        epoch_.store(++ep, std::memory_order_release);
-        SpinWait dispatchWait;
-        while (doneDispatch_.load(std::memory_order_acquire) < nShards)
-            dispatchWait.pause();
-        drainSeq_.store(ep, std::memory_order_release);
-        SpinWait drainWait;
-        while (doneDrain_.load(std::memory_order_acquire) < nShards)
-            drainWait.pause();
-        ++windows_;
-    }
-
-    exit_.store(true, std::memory_order_release);
-    epoch_.store(ep + 1, std::memory_order_release);
-    for (auto &t : threads)
-        t.join();
-    parallelActive_ = false;
-    rings_.clear();
-}
-
-void
-Kernel::workerLoop(unsigned self, const std::vector<unsigned> &owned)
-{
-    std::uint64_t ep = 0;
-    for (;;) {
-        SpinWait epochWait;
-        while (epoch_.load(std::memory_order_acquire) == ep)
-            epochWait.pause();
-        ++ep;
-        if (exit_.load(std::memory_order_acquire))
-            return;
-        const Tick winEnd = winEnd_.load(std::memory_order_relaxed);
-        drainRings(self);
-        unsigned sinceDrain = 0;
-        for (;;) {
-            // (tick, region, seq) order restricted to our regions;
-            // seq ordering within a region is the queue's own.
-            unsigned best = ~0u;
-            Tick bw = kTickInf;
-            for (unsigned r : owned) {
-                const Tick w = regions_[r]->events_.peekTime();
-                if (w < bw) {
-                    bw = w;
-                    best = r;
-                }
-            }
-            if (best == ~0u || bw >= winEnd)
-                break;
-            dispatchOne(best);
-            if (++sinceDrain >= kDrainStride) {
-                drainRings(self);
-                sinceDrain = 0;
-            }
-        }
-#if ALTOC_AUDIT_ENABLED
-        reconcileAudit(owned);
-#endif
-        doneDispatch_.fetch_add(1, std::memory_order_acq_rel);
-        // Keep emptying our channels while peers still dispatch, so
-        // none of them can wedge on a full ring; the final sweep
-        // after drainSeq_ advances is guaranteed complete.
-        SpinWait settleWait;
-        while (drainSeq_.load(std::memory_order_acquire) != ep) {
-            drainRings(self);
-            settleWait.pause();
-        }
-        drainRings(self);
-        doneDrain_.fetch_add(1, std::memory_order_acq_rel);
-    }
-}
-
-ALTOC_HOT void
-Kernel::drainRings(unsigned self)
-{
-    CrossEvent ev;
-    for (unsigned src = 0; src < shards_; ++src) {
-        if (src == self)
-            continue;
-        SpscRing<CrossEvent> &ring = *rings_[src * shards_ + self];
-        while (ring.tryPop(ev)) {
-            regions_[ev.dst]->events_.scheduleAtSeq(ev.when, ev.seq,
-                                                    std::move(ev.cb));
-        }
-    }
-}
-
-ALTOC_HOT void
-Kernel::crossPush(unsigned srcShard, unsigned dstShard, CrossEvent ev)
-{
-    SpscRing<CrossEvent> &ring = *rings_[srcShard * shards_ + dstShard];
-    SpinWait fullWait;
-    while (!ring.tryPush(std::move(ev))) {
-        drainRings(srcShard);
-        fullWait.pause();
-    }
-}
-
-void
-Kernel::reconcileAudit(const std::vector<unsigned> &owned)
-{
-    std::uint64_t delta = 0;
-    for (unsigned r : owned) {
-        const Auditor *a = regions_[r]->auditor_;
-        if (a == nullptr)
-            continue;
-        const std::uint64_t c = a->violationCount();
-        delta += c - auditSeen_[r];
-        auditSeen_[r] = c;
-    }
-    if (delta != 0) {
-        MutexLock lock(auditMu_);
-        auditViolations_ += delta;
-    }
-}
-
-bool
-Kernel::auditClean()
-{
-    MutexLock lock(auditMu_);
-    return auditViolations_ == 0;
 }
 
 } // namespace altoc::sim

@@ -128,9 +128,9 @@ class Simulator
     std::uint64_t eventsExecuted() const { return events_.executed(); }
 
     /** Request that the run loop stop before dispatching the next
-     *  event. For a kernel region this reaches the kernel-wide flag
-     *  (thread-safe; honored at the merge loop's next dispatch, or a
-     *  sharded run's next window boundary). */
+     *  event. For a region of a multi-region kernel this sets the
+     *  kernel-wide flag, which the merge loop checks before its next
+     *  dispatch in any region. */
     void
     requestStop()
     {
@@ -161,7 +161,6 @@ class Simulator
      *  region world; null standalone (and for single-region kernels,
      *  which delegate to the classic run loop). */
     Kernel *kernel_ = nullptr;
-    unsigned regionIdx_ = 0;
     Tick now_ = 0;
     bool stopRequested_ = false;
 };

@@ -369,9 +369,9 @@ namespace {
 /**
  * The run's one observation path: folds completions and fault events
  * into the fingerprint, the rack-wide latency tracker and the
- * per-request capture. Serial runs feed it from direct hooks, in the
- * kernel's canonical (tick, region, seq) dispatch order; sharded runs
- * replay their merged logs through it in that same order.
+ * per-request capture. observeDirect() feeds it from the servers'
+ * hooks, which fire in the kernel's canonical (tick, region, seq)
+ * dispatch order.
  */
 class Observer
 {
@@ -439,7 +439,7 @@ class Observer
     std::vector<RequestOutcome> *capture_;
 };
 
-/** Serial runs: every hook feeds the observer as it fires. */
+/** Wire every server's hooks to feed @p obs as they fire. */
 void
 observeDirect(Rack &rack, Observer &obs)
 {
@@ -462,105 +462,6 @@ observeDirect(Rack &rack, Observer &obs)
                                     Tick now, unsigned a, unsigned b) {
                 o->fault(s, now, static_cast<std::uint64_t>(kind), a, b);
             });
-        }
-    }
-}
-
-/**
- * One observation in a server's private log. Sharded runs fire hooks
- * on several threads, so each server appends to its own log
- * (thread-confined) and replay() folds the logs after the run.
- */
-struct ObsRec
-{
-    Tick at = 0;           //!< region clock when observed (merge key)
-    Tick value = 0;        //!< completion: latency; fault: its tick
-    std::uint64_t id = 0;  //!< completion: rpc id; fault: arg a
-    std::uint32_t aux = 0; //!< fault: arg b
-    std::uint16_t kind = 0; //!< RequestKind / FaultInjector::Kind
-    std::uint16_t core = 0; //!< completion: executing core id
-    bool fault = false;
-    bool migrated = false;
-    bool predicted = false;
-};
-
-using ObsLogs = std::vector<std::vector<ObsRec>>;
-
-ObsLogs
-observeLogged(Rack &rack, std::uint64_t total)
-{
-    const unsigned n = rack.numServers();
-    ObsLogs logs(n);
-    for (unsigned s = 0; s < n; ++s) {
-        std::vector<ObsRec> *log = &logs[s];
-        log->reserve(static_cast<std::size_t>(total / n + total / (2 * n) +
-                                              1024));
-        Server &srv = rack.server(s);
-        // The probe fires first in onRpcDone and opens the record;
-        // the hook fires later in the same call and completes it --
-        // nothing can append in between.
-        srv.setCompletionProbe(
-            [log](const cpu::Core &core, const net::Rpc &r, Tick now) {
-                ObsRec o;
-                o.at = now;
-                o.id = r.id;
-                o.kind = static_cast<std::uint16_t>(r.kind);
-                o.core = static_cast<std::uint16_t>(core.id());
-                log->push_back(o);
-            });
-        srv.setCompletionHook([log](const net::Rpc &r, Tick latency) {
-            ObsRec &o = log->back();
-            o.value = latency;
-            o.migrated = r.migrated;
-            o.predicted = r.predictedViolation;
-        });
-        if (sim::FaultInjector *fi = srv.faultInjector()) {
-            // A fault may name a later tick than the one it is
-            // injected at (a straggle names its slice's start); the
-            // merge key is the injection tick, as in serial order.
-            const sim::Simulator *clock = &srv.sim();
-            fi->setEventHook([log, clock](sim::FaultInjector::Kind kind,
-                                          Tick now, unsigned a,
-                                          unsigned b) {
-                ObsRec o;
-                o.at = clock->now();
-                o.value = now;
-                o.fault = true;
-                o.kind = static_cast<std::uint16_t>(kind);
-                o.id = a;
-                o.aux = b;
-                log->push_back(o);
-            });
-        }
-    }
-    return logs;
-}
-
-/** Fold the logs into @p obs in ascending (tick, server, log position)
- *  order: the canonical dispatch order restricted to observations. */
-void
-replay(const ObsLogs &logs, Observer &obs)
-{
-    const unsigned n = static_cast<unsigned>(logs.size());
-    std::vector<std::size_t> pos(n, 0);
-    for (;;) {
-        unsigned best = n;
-        Tick bw = kTickInf;
-        for (unsigned s = 0; s < n; ++s) {
-            if (pos[s] < logs[s].size() && logs[s][pos[s]].at < bw) {
-                bw = logs[s][pos[s]].at;
-                best = s;
-            }
-        }
-        if (best == n)
-            break;
-        const ObsRec &o = logs[best][pos[best]++];
-        if (o.fault) {
-            obs.fault(best, o.value, o.kind, static_cast<unsigned>(o.id),
-                      o.aux);
-        } else {
-            obs.completion(best, o.at, o.kind, o.core, o.id);
-            obs.outcome(o.id, o.value, o.migrated, o.predicted);
         }
     }
 }
@@ -598,35 +499,15 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     // reallocates; descriptor pools grow to what is in flight.
     rack.reserveFor(d.total);
     rack.stopAfterCompletions(d.total);
-    const unsigned shards = rack.resolveShards(cfg.shards);
 
     RunResult result;
     result.rackServers = n;
     Observer obs(n, d, spec, result);
-    ObsLogs logs;
-    if (shards > 1)
-        logs = observeLogged(rack, d.total);
-    else
-        observeDirect(rack, obs);
+    observeDirect(rack, obs);
 
     LoadGenerator gen(rack, spec);
     gen.start();
-    Tick end = 0;
-    if (shards > 1) {
-        // Stay parallel only while arrivals are still pending: a
-        // request injected during a window cannot complete within it
-        // (delivery alone costs a full window), so the completion
-        // threshold can only be crossed in the serial tail and the
-        // stop lands on exactly the event it would serially.
-        end = rack.runSharded(
-            shards, spec.timeLimit,
-            sim::Kernel::ParallelGate([&gen, total = d.total] {
-                return gen.injected() < total;
-            }));
-        replay(logs, obs);
-    } else {
-        end = rack.run(spec.timeLimit);
-    }
+    const Tick end = rack.run(spec.timeLimit);
 
     // Conservation only holds once everything in flight finished; a
     // run stopped early legitimately leaves live descriptors behind.
@@ -663,7 +544,6 @@ runExperiment(const DesignConfig &cfg, const WorkloadSpec &spec)
     result.torShed = rack.torShed();
     result.fingerprint = obs.digest().digest();
     result.fingerprintEvents = obs.digest().events();
-    result.parallelWindows = rack.kernel().parallelWindows();
 
     if (spec.dumpStats)
         rack.dumpStats();

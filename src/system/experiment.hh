@@ -99,17 +99,11 @@ struct DesignConfig
      */
     RackConfig rack;
 
-    /**
-     * Shard the event kernel across this many worker threads
-     * (sim/kernel.hh). Only a federated rack has a region topology
-     * coarse enough to shard (one region per server plus the ToR,
-     * lookahead = the rack link's minimum delivery time); the value
-     * is resolved against the topology and policy at run time
-     * (Rack::resolveShards) and configurations that cannot shard
-     * without changing semantics are downgraded to 1 with a log
-     * line. Results are bit-identical for every value -- sharding is
-     * purely an execution strategy.
-     */
+    // ----- serial stand-in for bench/perf/altoc_perf.cc ----------------
+    // Ignored by every run. bench/perf/altoc_perf.cc sets it, and only
+    // a benchmark change may edit that file. It goes with the next
+    // benchmark change; nothing else may use it (see also
+    // Rack::resolveShards and sim::Kernel::ParallelGate).
     unsigned shards = 1;
 };
 
@@ -292,13 +286,6 @@ struct RunResult
 
     /** Completions mixed into the fingerprint. */
     std::uint64_t fingerprintEvents = 0;
-
-    /** Conservative windows the sharded kernel executed in parallel
-     *  (0 on the serial path). Purely an execution statistic -- every
-     *  other field of this struct is independent of it -- but tests
-     *  and benches assert it to prove the parallel path actually ran
-     *  rather than silently collapsing to serial. */
-    std::uint64_t parallelWindows = 0;
 
     std::vector<RequestOutcome> perRequest;
 

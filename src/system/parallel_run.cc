@@ -5,9 +5,7 @@
 
 #include "system/parallel_run.hh"
 
-#include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 #include "common/annotations.hh"
 #include "common/logging.hh"
@@ -16,46 +14,6 @@
 namespace altoc::system {
 
 namespace {
-
-/**
- * Fit the batch's --jobs x --shards thread demand to the host: each
- * worker of a sharded run spawns cfg.shards kernel threads, so a
- * batch of sharded jobs multiplies. Results are unaffected either
- * way (sharding is bit-exact and the kernel's barriers yield under
- * oversubscription); this only keeps a figure sweep from drowning
- * the machine in 10x more runnable threads than cores. Returns the
- * effective job count, logging any downgrade.
- */
-unsigned
-fitJobsToHost(const std::vector<RunJob> &batch, unsigned jobs)
-{
-    unsigned maxShards = 1;
-    for (const RunJob &job : batch) {
-        // Only a federated rack can actually shard; a single server's
-        // cfg.shards is informational (Rack::resolveShards logs and
-        // runs serial), so it must not shrink the batch's
-        // parallelism.
-        if (job.cfg.rack.servers > 1 && job.cfg.shards > 1) {
-            maxShards = std::max(
-                maxShards,
-                std::min(job.cfg.shards, job.cfg.rack.servers));
-        }
-    }
-    if (maxShards == 1)
-        return jobs;
-    const unsigned requested = jobs ? jobs : ThreadPool::defaultJobs();
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    if (requested * maxShards <= hw)
-        return requested;
-    const unsigned fitted = std::max(1u, hw / maxShards);
-    if (fitted != requested) {
-        inform("parallel: downgrading jobs %u -> %u (jobs x shards "
-               "%u x %u exceeds %u hardware thread(s))",
-               requested, fitted, requested, maxShards, hw);
-    }
-    return fitted;
-}
 
 /**
  * Completion counter shared by the pool workers of one runMany batch
@@ -96,7 +54,6 @@ class ProgressMeter
 std::vector<RunResult>
 runMany(const std::vector<RunJob> &batch, unsigned jobs)
 {
-    jobs = fitJobsToHost(batch, jobs);
     if (std::getenv("ALTOC_PROGRESS") != nullptr && batch.size() > 1) {
         ProgressMeter meter(batch.size());
         return mapOrdered(

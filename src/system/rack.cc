@@ -6,8 +6,6 @@
 
 #include "system/rack.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace altoc::system {
@@ -65,8 +63,7 @@ serverSalt(unsigned server)
 
 Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     : cfg_(cfg), rack_(cfg.rack), traceCfg_(spec.tracing),
-      torRng_(spec.seed ^ kTorSeedSalt),
-      faultsHaveKills_(spec.faults.hasKills())
+      torRng_(spec.seed ^ kTorSeedSalt)
 {
     altoc_assert(rack_.servers >= 1, "a rack needs at least one server");
     altoc_assert(rack_.policy != TorPolicy::PowerOfK || rack_.sampleK >= 1,
@@ -120,11 +117,9 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     }
 
 #if ALTOC_AUDIT_ENABLED
-    // Each server's auditor attaches to its *own* region, so audit
-    // state is shard-confined by construction; the kernel folds
-    // per-region violation counts together at window boundaries
-    // (Kernel::reconcileAudit) and settle() panics per server. For
-    // one server this is exactly a bare server's wiring.
+    // Each server's auditor attaches to its *own* region, so it sees
+    // exactly that server's events, and settle() panics per server.
+    // For one server this is exactly a bare server's wiring.
     for (auto &srv : servers_) {
         if (core::InvariantAuditor *a = srv->auditor())
             srv->sim().setAuditor(a);
@@ -152,9 +147,7 @@ Rack::torPick()
         // Sample k servers with replacement (dead draws probe to the
         // next live machine), keep the least loaded; the first drawn
         // wins ties, so the decision is a pure function of (rng
-        // stream, load vector). The load read crosses regions, which
-        // is why resolveShards() pins this policy to the serial
-        // kernel.
+        // stream, load vector).
         int best = -1;
         std::size_t bestLoad = 0;
         for (unsigned k = 0; k < rack_.sampleK; ++k) {
@@ -216,10 +209,8 @@ Rack::torDeliver(unsigned s, const net::WireRpc &w)
     Server *srv = servers_[s].get();
     const Tick arrive = links_[s].send(torSim_->now(), w.sizeBytes);
     // The wire form crosses the region boundary; the descriptor
-    // materializes in the receiving server's own region at delivery
-    // time, >= the link's minDelivery() (the shard lookahead) from
-    // now. The cross-seq makes its dispatch position identical in
-    // serial and sharded execution.
+    // materializes in the receiving server's own region, from its
+    // own pool, when the link delivers it.
     kernel_.crossSchedule(torRegion_, s, arrive,
                           [srv, w] { srv->injectWire(w); });
 }
@@ -241,10 +232,9 @@ Rack::noteCoreDeath(unsigned s)
         return;
     dead_[s] = true;
     --liveServers_;
-    // Stamp the record with the dying server's own region clock --
-    // the causal time of the death -- not the ToR's possibly-lagging
-    // one. (Kills pin the run to the serial kernel, so this write is
-    // never raced; see resolveShards.)
+    // Stamp the record with the dying server's own region clock, the
+    // causal time of the death. The ToR's clock only advances when a
+    // ToR event runs, so it can lag.
     ALTOC_TRACE_HOOK(torTracer_.get(),
                      record(servers_[s]->sim().now(), 0,
                             trace::TraceKind::ServerDead, s));
@@ -265,63 +255,6 @@ Tick
 Rack::run(Tick until)
 {
     const Tick end = kernel_.run(until);
-    settle();
-    return end;
-}
-
-unsigned
-Rack::resolveShards(unsigned requested) const
-{
-    if (requested <= 1)
-        return 1;
-    if (numServers() == 1) {
-        inform("sharding disabled: one server is one region (the "
-               "3 ns NoC lookahead cannot amortize a window barrier)");
-        return 1;
-    }
-    if (rack_.policy == TorPolicy::PowerOfK ||
-        rack_.policy == TorPolicy::LeastLoaded) {
-        inform("sharding disabled: ToR policy '%s' reads server queue "
-               "depths at dispatch time (couples regions below the "
-               "rack-link lookahead)",
-               torPolicyName(rack_.policy));
-        return 1;
-    }
-    if (faultsHaveKills_) {
-        inform("sharding disabled: fault spec schedules fail-stops "
-               "(server death updates ToR steering synchronously)");
-        return 1;
-    }
-    unsigned shards = requested;
-    if (shards > numServers()) {
-        inform("clamping shards=%u to %u (one shard per server)",
-               shards, numServers());
-        shards = numServers();
-    }
-    // Deliberately no hardware-concurrency clamp here: results are
-    // bit-identical at any shard count, and the kernel's barriers
-    // yield under oversubscription, so an over-threaded run is only
-    // slow, never wrong. Host-fitting (the --jobs x --shards
-    // product) is the batch layer's job -- see runMany.
-    return shards;
-}
-
-Tick
-Rack::runSharded(unsigned shards, Tick until,
-                 sim::Kernel::ParallelGate gate)
-{
-    if (shards <= 1 || numServers() == 1)
-        return run(until);
-    sim::Kernel::ShardPlan plan;
-    plan.shards = shards;
-    plan.lookahead = links_[0].minDelivery();
-    for (const net::RackLink &link : links_)
-        plan.lookahead = std::min(plan.lookahead, link.minDelivery());
-    plan.shardOf.resize(kernel_.numRegions());
-    for (unsigned s = 0; s < numServers(); ++s)
-        plan.shardOf[s] = s * shards / numServers();
-    plan.shardOf[torRegion_] = 0;
-    const Tick end = kernel_.runSharded(plan, until, std::move(gate));
     settle();
     return end;
 }

@@ -14,20 +14,14 @@
  * magnitude more expensive than the 3 ns NoC migrations the
  * intra-server layer performs freely.
  *
- * That same ~1 us hop is the kernel's conservative-PDES lookahead:
- * the only events crossing a region boundary are ToR->server
- * deliveries paying at least the link's propagation + serialization
- * delay, so runSharded() can advance the regions in parallel windows
- * of that width and still dispatch the exact canonical (tick,
- * region, seq) order of the serial kernel. Fingerprints, goldens and
- * raw trace bytes are bit-identical for every shard count
- * (tests/test_sharded.cc pins this); sharding is purely an execution
- * strategy. Configurations whose semantics genuinely couple regions
- * mid-window -- load-inspecting ToR policies (p2c/ll read server
- * queue depths at pick time) and fail-stop fault schedules (server
- * death fans state back into the ToR's steering tables) -- are
- * downgraded to the serial kernel by resolveShards(), with a log
- * line, rather than silently changing results.
+ * Every server, and the ToR, runs in its own kernel region, and the
+ * kernel dispatches them all in one (tick, region, seq) order: at a
+ * tick, server events run in server order, then the ToR's. The only
+ * event that crosses a region boundary is a request's delivery: the
+ * ToR schedules its wire form into the chosen server's region
+ * (Kernel::crossSchedule) after the rack link's delay, and the
+ * server materializes it there. The p2c and ll policies read server
+ * queue depths directly at pick time, an oracle a real ToR lacks.
  *
  * A single server is a rack of one: runExperiment drives every
  * topology through this class. With servers == 1 the Rack adds
@@ -48,7 +42,6 @@
 #ifndef ALTOC_SYSTEM_RACK_HH
 #define ALTOC_SYSTEM_RACK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -120,8 +113,8 @@ class Rack
      * server this materializes and injects directly -- no event, no
      * trace record. Otherwise the ToR records the dispatch, pays the
      * downlink's serialization + propagation delay, and the request
-     * materializes *in the receiving server's region* (a sharded rack
-     * never touches a descriptor pool from a foreign thread).
+     * materializes *in the receiving server's region*, from that
+     * server's own descriptor pool.
      */
     void
     deliver(unsigned s, const net::WireRpc &w)
@@ -137,39 +130,11 @@ class Rack
 
     /** Stop the kernel once @p n requests completed rack-wide (one
      *  server counts its own completions; a federation shares one
-     *  atomic counter). */
+     *  counter). */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
     Tick run(Tick until = kTickInf);
-
-    /**
-     * The shard count this rack actually runs @p requested under.
-     * Downgrades (each with an inform() line naming the reason):
-     *  - servers == 1: one region, nothing to shard;
-     *  - p2c / ll ToR policies: pickServer reads remote queue depths
-     *    at decision time, an oracle the window protocol cannot
-     *    reproduce;
-     *  - fault specs with fail-stops: server death synchronously
-     *    updates the ToR's steering state;
-     * and clamps at most one shard per server (the ToR shares shard
-     * 0). There is deliberately no clamp to the host's hardware
-     * concurrency: results are identical at any shard count, and
-     * fitting --jobs x --shards to the host is runMany's job.
-     */
-    unsigned resolveShards(unsigned requested) const;
-
-    /**
-     * Sharded run: server s executes on shard s*shards/servers, the
-     * ToR on shard 0, windows of the rack link's minimum delivery
-     * time. @p gate as in sim::Kernel::runSharded -- runExperiment
-     * passes "arrivals still pending", which provably confines the
-     * completion-count stop to the serial tail (DESIGN.md sec. 14).
-     * Exact same results as run(); callers should pass a @p shards
-     * value vetted by resolveShards().
-     */
-    Tick runSharded(unsigned shards, Tick until = kTickInf,
-                    sim::Kernel::ParallelGate gate = {});
 
     /** Reserve each server's latency sample store for its share of
      *  @p total_requests (Server::reserveFor). */
@@ -216,6 +181,23 @@ class Rack
      */
     void dumpStats(std::FILE *out = nullptr) const;
 
+    // ----- serial stand-ins for bench/perf/altoc_perf.cc ---------------
+    // bench/perf/altoc_perf.cc names these, and only a benchmark
+    // change may edit that file. They go with the next benchmark
+    // change; nothing else may use them
+    // (see also DesignConfig::shards and sim::Kernel::ParallelGate).
+
+    /** Always 1: every rack runs on the serial kernel. */
+    unsigned resolveShards(unsigned) const { return 1; }
+
+    /** run(@p until); the shard count and the gate are ignored. */
+    Tick
+    runSharded(unsigned, Tick until = kTickInf,
+               sim::Kernel::ParallelGate = {})
+    {
+        return run(until);
+    }
+
   private:
     /** pickServer for servers > 1: the ToR policy's decision. */
     int torPick();
@@ -232,8 +214,7 @@ class Rack
     int nextLive(unsigned start) const;
 
     /** Post-run settlement: per-server audit checks (each panics on
-     *  its own violations -- the shard-safe successor of the old
-     *  fan-out auditor). */
+     *  its own violations). */
     void settle();
 
     DesignConfig cfg_;
@@ -252,18 +233,13 @@ class Rack
     std::vector<net::RackLink> links_;
     std::vector<bool> dead_;
     std::unique_ptr<trace::Tracer> torTracer_;
-    /** The workload schedules fail-stops (resolveShards downgrades
-     *  sharding then -- death fans into ToR steering state). */
-    bool faultsHaveKills_ = false;
     unsigned liveServers_ = 0;
     unsigned rrNext_ = 0;
     std::uint64_t torDispatched_ = 0;
     std::uint64_t torShed_ = 0;
     /** Rack-wide completion count, shared across every server's
-     *  completion path; atomic so sharded workers settle completions
-     *  concurrently (the parallel gate keeps the stop threshold out
-     *  of the parallel phase -- DESIGN.md sec. 14). */
-    std::atomic<std::uint64_t> sharedDone_{0};
+     *  completion path (federations only). */
+    std::uint64_t sharedDone_ = 0;
 };
 
 } // namespace altoc::system

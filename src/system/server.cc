@@ -272,11 +272,7 @@ Server::onRpcDone(cpu::Core &core, net::Rpc *r)
         hook_(*r, latency);
     pool_.release(r);
     if (sharedDone_ != nullptr) {
-        // Relaxed is enough: the count only gates the stop request,
-        // and the rack's parallel gate confines the threshold
-        // crossing to single-threaded execution.
-        if (sharedDone_->fetch_add(1, std::memory_order_relaxed) + 1 >=
-            stopAfter_)
+        if (++*sharedDone_ >= stopAfter_)
             sim_.requestStop();
     } else if (completed_ >= stopAfter_) {
         sim_.requestStop();

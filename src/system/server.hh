@@ -15,7 +15,6 @@
 #ifndef ALTOC_SYSTEM_SERVER_HH
 #define ALTOC_SYSTEM_SERVER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -166,9 +165,8 @@ class Server : public sched::CompletionSink
 
     /** Materialize a descriptor from its wire form and hand it to
      *  the NIC at the current time: the one way a request enters a
-     *  server. Allocation happens here, inside the receiving
-     *  server's own kernel region, so a sharded rack never touches a
-     *  pool from a foreign thread. */
+     *  server. Allocation happens here, from this server's own pool,
+     *  inside its own kernel region. */
     void injectWire(const net::WireRpc &w);
 
     /** Install a per-core service resolver (MICA substrate hook). */
@@ -227,14 +225,10 @@ class Server : public sched::CompletionSink
      * Rack variant: count this server's completions into the shared
      * @p counter and stop the (shared) kernel once it reaches @p n.
      * The pointer must outlive the run. Replaces any per-server
-     * stopAfterCompletions bound. Atomic so N servers sharded across
-     * kernel threads can settle completions concurrently; the rack's
-     * parallel gate guarantees the threshold itself can only be
-     * crossed in the serial phase (DESIGN.md section 14).
+     * stopAfterCompletions bound.
      */
     void
-    stopAfterSharedCompletions(std::atomic<std::uint64_t> *counter,
-                               std::uint64_t n)
+    stopAfterSharedCompletions(std::uint64_t *counter, std::uint64_t n)
     {
         sharedDone_ = counter;
         stopAfter_ = n;
@@ -369,7 +363,7 @@ class Server : public sched::CompletionSink
     /** Rack-shared completion counter; null for a bare server and a
      *  rack of one (stopAfter_ then bounds this server's own
      *  completions). */
-    std::atomic<std::uint64_t> *sharedDone_ = nullptr;
+    std::uint64_t *sharedDone_ = nullptr;
     /** At least one core has fail-stopped; admission shedding is
      *  armed (see requestsShed()). */
     bool degraded_ = false;

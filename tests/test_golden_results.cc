@@ -158,11 +158,13 @@ TEST(GoldenResults, AcRss) { checkGolden(goldenCases()[3]); }
 // ---------------------------------------------------------------------
 // Pinned fingerprints for runtime paths the 2-group scenario above
 // never reaches: UPDATE coalescing under a 10 ns period, faulted runs
-// with manager kills on both AC variants, and software messaging.
-// Each value is what the altocsim command in its comment printed
-// with --requests 5000. No altocsim flag selects software messaging,
-// so the last value was recorded by this test itself, on the model
-// that delivered every UPDATE as an event.
+// with manager kills on both AC variants, software messaging, and
+// faulted 4-server round-robin racks. Each single-server value is
+// what the altocsim command in its comment printed with --requests
+// 5000. No altocsim flag selects software messaging, so that value
+// was recorded by this test itself, on the model that delivered
+// every UPDATE as an event; the rack values were recorded by this
+// test too.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -177,6 +179,8 @@ struct PinnedRun
     std::uint64_t seed;
     const char *faults; // "" = pristine
     bool hardwareMessaging;
+    unsigned servers = 1;
+    TorPolicy policy = TorPolicy::PowerOfK;
 };
 
 std::string
@@ -188,6 +192,8 @@ pinnedFingerprint(const PinnedRun &p)
     cfg.groups = p.groups;
     cfg.params.period = p.period;
     cfg.params.hardwareMessaging = p.hardwareMessaging;
+    cfg.rack.servers = p.servers;
+    cfg.rack.policy = p.policy;
 
     WorkloadSpec spec;
     spec.service = workload::makeFixed(1 * kUs);
@@ -249,6 +255,45 @@ TEST(PinnedFingerprints, AcIntSoftwareMessaging)
     EXPECT_EQ(pinnedFingerprint({Design::AcInt, 64, 8, 50, 40.0, 7, "",
                                  false}),
               "aa68bd5d16884449");
+}
+
+// Four 16-core servers behind a round-robin ToR, 32 MRPS in total.
+// Each server draws from its own fault stream, and the ToR's
+// deliveries land in the servers' kernel regions (sim/kernel.hh).
+TEST(PinnedFingerprints, RackRrAcIntDropDupDelay)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::AcInt, 16, 2, 200, 32.0, 11,
+                                 "drop=0.02,dup=0.02,delay=0.1:300", true,
+                                 4, TorPolicy::RoundRobin}),
+              "955824342599c310");
+}
+
+// RSS and Shinjuku pay a dispatch handoff before a slice starts, so a
+// straggle or freeze fault can name a tick ahead of the clock it is
+// injected at; the fingerprint folds it in at injection.
+TEST(PinnedFingerprints, RackRrRssStraggleFreeze)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::Rss, 16, 2, 200, 32.0, 12,
+                                 "straggle=0.05:3,freeze=0.02:500", true,
+                                 4, TorPolicy::RoundRobin}),
+              "261060f8acd1aae2");
+}
+
+TEST(PinnedFingerprints, RackRrShinjukuStraggleFreeze)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::Shinjuku, 16, 2, 200, 32.0, 13,
+                                 "straggle=0.05:3,freeze=0.02:500", true,
+                                 4, TorPolicy::RoundRobin}),
+              "e318c9d2bb844b1a");
+}
+
+// Core 3 of server 2 fail-stops at 100 us, under 1% message drop.
+TEST(PinnedFingerprints, RackRrAcIntScopedKill)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::AcInt, 16, 2, 200, 32.0, 14,
+                                 "S2.kill=3@100000,drop=0.01", true, 4,
+                                 TorPolicy::RoundRobin}),
+              "01d421a595c118e4");
 }
 
 int

@@ -409,6 +409,8 @@ TEST(RackDeterminism, ParallelBatchMatchesSerial)
 // 5. Federated traces
 // ---------------------------------------------------------------------
 
+#if ALTOC_TRACE_ENABLED
+
 /** A federated trace file decodes with per-server ring attribution,
  *  carries the ToR's dispatch stream, and passes the causal
  *  validator (including the no-dispatch-to-dead-server rule). */
@@ -489,6 +491,12 @@ TEST(RackTrace, ServerDeathIsRecordedAndCausallyClean)
         << (errors.empty() ? "" : errors.front());
     std::remove(path.c_str());
 }
+
+#else // !ALTOC_TRACE_ENABLED
+
+TEST(RackTrace, DISABLED_TraceHooksCompiledOut) {}
+
+#endif // ALTOC_TRACE_ENABLED
 
 // ---------------------------------------------------------------------
 // 6. Stats dump: every server reports

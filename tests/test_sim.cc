@@ -1,15 +1,17 @@
 /**
  * @file
- * Event queue and simulator tests: ordering, tie-breaking,
- * cancellation, run bounds.
+ * Event queue, simulator and multi-region kernel tests: ordering,
+ * tie-breaking, cancellation, run bounds.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/kernel.hh"
 #include "sim/simulator.hh"
 
 using namespace altoc;
@@ -230,4 +232,100 @@ TEST(Simulator, ManyEventsStressOrdering)
     sim.run();
     EXPECT_TRUE(monotone);
     EXPECT_EQ(sim.eventsExecuted(), 20000u);
+}
+
+namespace {
+
+/** An event body that appends @p tag to @p order. */
+auto
+logTo(std::vector<std::string> &order, const char *tag)
+{
+    return [&order, tag] { order.emplace_back(tag); };
+}
+
+} // namespace
+
+TEST(Kernel, DispatchesInTickRegionSeqOrder)
+{
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    std::vector<std::string> order;
+    // Scheduled out of region order: highest region first.
+    r2.at(10, logTo(order, "r2@10"));
+    r1.at(10, logTo(order, "r1@10a"));
+    r0.at(10, logTo(order, "r0@10a"));
+    r2.at(5, [&] {
+        order.emplace_back("r2@5");
+        // Into lower regions: one at a tick region 0 shares with its
+        // own events, one ahead of region 1's earliest event.
+        k.crossSchedule(2, 0, 10, logTo(order, "r0@10 cross"));
+        k.crossSchedule(2, 1, 6, logTo(order, "r1@6 cross"));
+        // A local event filed after the cross one still sorts first.
+        r0.at(10, logTo(order, "r0@10b"));
+    });
+    r1.at(5, logTo(order, "r1@5"));
+    r0.at(7, logTo(order, "r0@7"));
+    r1.at(10, logTo(order, "r1@10b"));
+
+    EXPECT_EQ(k.run(), 10u);
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "r1@5", "r2@5", "r1@6 cross", "r0@7", "r0@10a",
+                         "r0@10b", "r0@10 cross", "r1@10a", "r1@10b",
+                         "r2@10"}));
+    EXPECT_EQ(k.eventsExecuted(), 10u);
+    EXPECT_TRUE(k.idle());
+    for (unsigned r = 0; r < k.numRegions(); ++r)
+        EXPECT_EQ(k.region(r).now(), 10u) << "region " << r;
+}
+
+TEST(Kernel, RegionStopHaltsBeforeTheNextDispatch)
+{
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    std::vector<std::string> order;
+    r0.at(5, logTo(order, "r0@5"));
+    r1.at(8, [&] {
+        order.emplace_back("r1@8");
+        r1.requestStop();
+    });
+    r2.at(8, logTo(order, "r2@8"));
+    r0.at(9, logTo(order, "r0@9"));
+
+    EXPECT_EQ(k.run(), 8u);
+    EXPECT_EQ(order, (std::vector<std::string>{"r0@5", "r1@8"}));
+    for (unsigned r = 0; r < k.numRegions(); ++r)
+        EXPECT_EQ(k.region(r).now(), 8u) << "region " << r;
+    EXPECT_FALSE(k.idle());
+
+    // The next run starts with the stop cleared.
+    EXPECT_EQ(k.run(), 9u);
+    EXPECT_EQ(order, (std::vector<std::string>{"r0@5", "r1@8", "r2@8",
+                                               "r0@9"}));
+}
+
+TEST(Kernel, RunUntilEndsAtTheBound)
+{
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    std::vector<std::string> order;
+    r0.at(5, logTo(order, "r0@5"));
+    r1.at(12, logTo(order, "r1@12"));
+    r1.at(20, logTo(order, "r1@20"));
+    r2.at(30, logTo(order, "r2@30"));
+
+    EXPECT_EQ(k.run(12), 12u);
+    EXPECT_EQ(order, (std::vector<std::string>{"r0@5", "r1@12"}));
+    for (unsigned r = 0; r < k.numRegions(); ++r)
+        EXPECT_EQ(k.region(r).now(), 12u) << "region " << r;
+    EXPECT_EQ(k.run(25), 25u);
+    EXPECT_EQ(k.now(), 25u);
+    EXPECT_EQ(k.run(), 30u);
+    EXPECT_TRUE(k.idle());
+    EXPECT_EQ(order.back(), "r2@30");
 }
