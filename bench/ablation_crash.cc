@@ -101,10 +101,10 @@ main(int argc, char **argv)
             spec.seed = 17;
             if (!sc.spec.empty())
                 spec.faults = sim::FaultSpec::parse(sc.spec);
-            // Crash runs shed: stopAfterCompletions is unreachable,
-            // so the time limit bounds the run. Arrivals end after
-            // ~13 ms; the survivors' backlog drains well within the
-            // bound.
+            // Crash runs shed; a shed request counts toward the stop
+            // like a completion, so the run ends once every request
+            // is accounted for. Arrivals end after ~13 ms; the
+            // survivors' backlog drains well within this backstop.
             spec.timeLimit = 100 * kMs;
             spec.tracing = opt.tracing();
             if (!opt.traceFile.empty())

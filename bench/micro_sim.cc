@@ -15,6 +15,7 @@
 #include "mica/kvs.hh"
 #include "net/rpc.hh"
 #include "noc/mesh.hh"
+#include "sim/kernel.hh"
 #include "sim/simulator.hh"
 #include "stats/histogram.hh"
 
@@ -62,18 +63,16 @@ BENCHMARK(BM_EventQueueDepth)->Arg(1024)->Arg(65536);
 
 namespace {
 
-/** Host state of the hold model: its simulator and a cycled table of
- *  successor delays. */
-struct HoldModel
+/** The hold models' cycled table of successor delays. */
+struct HoldDelays
 {
     /** Power of two, so the cycle index masks. */
     static constexpr std::size_t kDelays = 4096;
 
-    sim::Simulator sim;
     std::vector<Tick> delays;
     std::size_t next = 0;
 
-    HoldModel() : delays(kDelays)
+    HoldDelays() : delays(kDelays)
     {
         // The mix the simulator's workloads schedule: 99.8% of events
         // land within one wheel span (NoC hops, runtime periods,
@@ -88,6 +87,15 @@ struct HoldModel
     }
 
     Tick nextDelay() { return delays[next++ & (kDelays - 1)]; }
+};
+
+/** Host state of the hold model: its simulator and its delays. */
+struct HoldModel
+{
+    sim::Simulator sim;
+    HoldDelays delays;
+
+    Tick nextDelay() { return delays.nextDelay(); }
 };
 
 /** One hold-model event: it schedules its own successor. */
@@ -113,6 +121,73 @@ BM_EventHold(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventHold)->Arg(16)->Arg(512);
+
+namespace {
+
+/** The hold model spread over the regions of one kernel: each event
+ *  schedules its successor in its own region, except that with more
+ *  than one region one successor in six crosses to the next region
+ *  kWheelSpan ticks out, as a ToR delivery does. */
+struct RegionHoldModel
+{
+    sim::Kernel kernel;
+    HoldDelays delays;
+    std::uint64_t successors = 0;
+
+    explicit RegionHoldModel(unsigned regions)
+    {
+        for (unsigned r = 0; r < regions; ++r)
+            kernel.addRegion();
+    }
+};
+
+/** One region-hold event of region @p r. */
+struct RegionHoldEvent
+{
+    RegionHoldModel *m;
+    unsigned r;
+
+    void
+    operator()() const
+    {
+        sim::Kernel &k = m->kernel;
+        const unsigned n = k.numRegions();
+        if (n > 1 && ++m->successors % 6 == 0) {
+            const unsigned dst = (r + 1) % n;
+            k.crossSchedule(r, dst,
+                            k.region(r).now() + sim::EventQueue::kWheelSpan,
+                            RegionHoldEvent{m, dst});
+            return;
+        }
+        k.region(r).after(m->delays.nextDelay(), RegionHoldEvent{m, r});
+    }
+};
+
+} // namespace
+
+static void
+BM_EventRegions(benchmark::State &state)
+{
+    // BM_EventHold/512 over N kernel regions, driven through
+    // Kernel::run in 1-us slices: the rack's one-queue path against
+    // the single-region one.
+    constexpr Tick kSlice = 1 * kUs;
+    RegionHoldModel m(static_cast<unsigned>(state.range(0)));
+    for (unsigned i = 0; i < 512; ++i) {
+        const unsigned r = i % m.kernel.numRegions();
+        m.kernel.region(r).after(m.delays.nextDelay(),
+                                 RegionHoldEvent{&m, r});
+    }
+    Tick until = 0;
+    const std::uint64_t before = m.kernel.eventsExecuted();
+    for (auto _ : state) {
+        until += kSlice;
+        benchmark::DoNotOptimize(m.kernel.run(until));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(m.kernel.eventsExecuted() - before));
+}
+BENCHMARK(BM_EventRegions)->Arg(1)->Arg(17);
 
 static void
 BM_EventScheduleCancel(benchmark::State &state)

@@ -98,8 +98,8 @@ usage(int code)
         "  --fault-spec S     fault schedule (sim/fault_spec.hh\n"
         "                     grammar, e.g. drop=0.05,dup=0.03)\n"
         "  --time-limit-ms M  bound a faulted run to M ms of sim\n"
-        "                     time (kill specs shed, so completions\n"
-        "                     alone may never end the run)  [500]\n"
+        "                     time (a loss the protocol never\n"
+        "                     recovers would keep it running) [500]\n"
         "  --trace[=FILE]     record the binary event trace; with\n"
         "                     =FILE, write it for altoc-trace\n"
         "  --trace-slots N    per-core trace ring slots  [4096]\n");

@@ -1,18 +1,21 @@
 /**
  * @file
- * EventQueue implementation: a timing wheel of per-tick FIFO buckets
- * threaded through a generation-counted slot pool, in front of an
- * indexed 4-ary min-heap over POD keys for everything the wheel does
- * not hold.
+ * EventQueue implementation: a timing wheel of per-tick, seq-sorted
+ * buckets threaded through a generation-counted slot pool, in front of
+ * an indexed 4-ary min-heap over POD keys for everything the wheel
+ * does not hold.
  *
- * The wheel. A bucket is a doubly linked FIFO of slots (head and tail
- * in the bucket, next/prev in the slots), so appending, unlinking a
- * cancelled event and popping the head are O(1). Two bitmap levels
- * find the first non-empty bucket at or after the cursor's: a bit per
- * bucket, and a summary bit per 64-bucket word. The first search
- * after each dispatch is cached in front_, so a run loop that peeks
- * before it dispatches (the kernel's multi-region merge loop, audit
- * builds) searches once per event.
+ * The wheel. A bucket is a doubly linked list of slots in seq order
+ * (head and tail in the bucket, next/prev in the slots). Insertion
+ * walks back from the tail past higher seqs, so it is O(1) for an
+ * event with the highest seq at its tick -- every locally scheduled
+ * event of a single-region run -- and otherwise O(events of lower
+ * regions at that tick); unlinking a cancelled event and popping the
+ * head are O(1). Two bitmap levels find the first non-empty bucket at
+ * or after the cursor's: a bit per bucket, and a summary bit per
+ * 64-bucket word. The first search after each dispatch is cached in
+ * front_, so the run loop, which peeks before it dispatches, searches
+ * once per event.
  *
  * The heap. 4-ary: sift paths are half as deep as a binary heap's and
  * the four child keys share two cache lines, which wins on the
@@ -64,9 +67,9 @@ EventQueue::freeSlot(std::uint32_t slot)
 }
 
 void
-EventQueue::pushKey(Tick when, std::uint32_t slot)
+EventQueue::push(Tick when, std::uint64_t seq, std::uint32_t slot)
 {
-    const std::uint64_t seq = nextSeq_++;
+    ++liveCount_;
     // One unsigned comparison: a tick before the cursor wraps to a
     // huge distance and goes to the heap with the far-future ones.
     if (when - cursor_ >= kWheelSpan) {
@@ -74,17 +77,17 @@ EventQueue::pushKey(Tick when, std::uint32_t slot)
         return;
     }
     wheelPush(when, seq, slot);
-    ++liveCount_;
     offerFront(when, seq, slot, true);
 }
 
 void
 EventQueue::pushHeap(Tick when, std::uint64_t seq, std::uint32_t slot)
 {
-    slots_[slot].inWheel = false;
-    heap_.push_back(Key{when, seq, slot, slots_[slot].gen});
+    Slot &s = slots_[slot];
+    s.seq = seq;
+    s.inWheel = false;
+    heap_.push_back(Key{when, seq, slot, s.gen});
     siftUp(heap_.size() - 1);
-    ++liveCount_;
     // A key that precedes the front precedes every heap key, dead ones
     // included (the front is never behind the heap top, and the top
     // was live when the front was found), so siftUp took it to the
@@ -99,18 +102,33 @@ EventQueue::wheelPush(Tick when, std::uint64_t seq, std::uint32_t slot)
     s.when = when;
     s.seq = seq;
     s.inWheel = true;
-    s.next = kNilSlot;
     const auto b = static_cast<std::uint32_t>(when & kWheelMask);
     Bucket &bk = buckets_[b];
     if (bk.head == kNilSlot) {
         s.prev = kNilSlot;
+        s.next = kNilSlot;
         bk.head = slot;
+        bk.tail = slot;
         markBucket(b);
-    } else {
-        s.prev = bk.tail;
-        slots_[bk.tail].next = slot;
+        return;
     }
-    bk.tail = slot;
+    // Link after the last entry with a lower seq (kNilSlot: at the
+    // head); seqs are unique. An event with the highest seq at its
+    // tick, the usual case, appends without a step back.
+    std::uint32_t prev = bk.tail;
+    while (prev != kNilSlot && slots_[prev].seq > seq)
+        prev = slots_[prev].prev;
+    const std::uint32_t next = prev == kNilSlot ? bk.head : slots_[prev].next;
+    s.prev = prev;
+    s.next = next;
+    if (prev == kNilSlot)
+        bk.head = slot;
+    else
+        slots_[prev].next = slot;
+    if (next == kNilSlot)
+        bk.tail = slot;
+    else
+        slots_[next].prev = slot;
 }
 
 void
@@ -273,6 +291,24 @@ EventQueue::findFront()
     frontValid_ = true;
 }
 
+std::size_t
+EventQueue::sizeIn(unsigned r) const
+{
+    std::size_t n = 0;
+    for (const Slot &s : slots_)
+        n += s.live && (s.seq >> kRegionShift) == r;
+    return n;
+}
+
+std::uint64_t
+EventQueue::executed() const
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t e : executed_)
+        n += e;
+    return n;
+}
+
 Tick
 EventQueue::nextTime() const
 {
@@ -321,7 +357,7 @@ EventQueue::dispatchFront(Tick &now_out)
     Callback cb = std::move(slots_[f.slot].cb);
     freeSlot(f.slot);
     --liveCount_;
-    ++executed_;
+    ++executed_[f.seq >> kRegionShift];
     now_out = f.when;
     cb();
     return f.when;

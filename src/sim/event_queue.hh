@@ -4,7 +4,10 @@
  *
  * Events are ordered by (tick, sequence); the sequence counter breaks
  * ties in insertion order so simulations replay identically across
- * runs. Internals are built for zero steady-state allocation:
+ * runs. A seq's top byte names the kernel region that owns the event
+ * (sim/kernel.hh), so one queue holds every region of a simulation in
+ * the canonical (tick, region, seq) order. Internals are built for
+ * zero steady-state allocation:
  *
  *  - callbacks are fixed-capacity InlineFn objects (no std::function,
  *    no heap for captures) parked out-of-line in a slot pool;
@@ -12,15 +15,15 @@
  *    (generation, slot), and alloc/cancel are O(1) pointer bumps on a
  *    free list -- no hashing, no unordered_set;
  *  - near-future events -- almost all of them at nanosecond-scale
- *    scheduling -- sit in a timing wheel: one FIFO bucket per tick
- *    over the kWheelSpan ticks from the last dispatched one, threaded
- *    through the slot pool and found by an occupancy bitmap, so they
- *    schedule, cancel and dispatch in O(1);
- *  - everything else (events due kWheelSpan or more ticks ahead, and
- *    every cross-region event) goes to an overflow 4-ary min-heap
- *    over (when, seq, slot, gen) keys. Its cancellation is lazy (the
- *    key stays until it surfaces), but it compacts eagerly once dead
- *    keys exceed half the heap, so mass-cancellation workloads
+ *    scheduling -- sit in a timing wheel: one seq-sorted bucket per
+ *    tick over the kWheelSpan ticks from the last dispatched one,
+ *    threaded through the slot pool and found by an occupancy bitmap,
+ *    so they schedule, cancel and dispatch in O(1);
+ *  - events due kWheelSpan or more ticks ahead (or before the last
+ *    dispatched tick) go to an overflow 4-ary min-heap over (when,
+ *    seq, slot, gen) keys. Its cancellation is lazy (the key stays
+ *    until it surfaces), but it compacts eagerly once dead keys
+ *    exceed half the heap, so mass-cancellation workloads
  *    (timeout-heavy fault runs) cannot bloat it.
  *
  * Dispatch takes the smaller of the wheel front and the heap top by
@@ -56,18 +59,35 @@ using EventId = std::uint64_t;
 constexpr EventId kNoEvent = 0;
 
 /**
- * Sequence-number floor of the cross-region subspace. Locally
- * scheduled events draw seq from a counter starting at 1 and could
- * only reach this bit after 2^63 schedules; events injected from
- * another kernel region (sim/kernel.hh) carry an explicit seq with
- * this bit set, composed from (sender region, sender counter). At
- * equal tick, every cross-region event therefore sorts after every
- * locally scheduled one, whenever either was scheduled, and
- * cross-region events from one sender keep the order it sent them in.
- * Every federated run's results depend on that order (the rack_ac_p2c
- * golden pins it).
+ * Bit position of a seq's region byte. Region r of a kernel owns the
+ * seqs in [r << kRegionShift, (r + 1) << kRegionShift), so ordering
+ * by (tick, seq) is ordering by (tick, region, seq), and a standalone
+ * queue -- region 0 -- draws exactly the seqs it would without
+ * regions. A kernel holds at most 256 regions.
  */
-constexpr std::uint64_t kCrossSeqBase = std::uint64_t{1} << 63;
+constexpr unsigned kRegionShift = 56;
+
+/** The region byte of region @p r, ready to OR into a seq. */
+constexpr std::uint64_t
+regionTag(unsigned r)
+{
+    return static_cast<std::uint64_t>(r) << kRegionShift;
+}
+
+/**
+ * Cross-region bit, just below the region byte. Locally scheduled
+ * events draw the bits below it from one rising counter starting at
+ * 1, which could only reach it after 2^55 schedules; an event
+ * injected from another kernel region (Kernel::crossSchedule)
+ * carries an explicit seq with this bit set, composed from (sender
+ * region, sender counter) under the receiving region's byte. At equal
+ * tick, every cross-region event of a region therefore sorts after
+ * every event scheduled locally in it, whenever either was scheduled,
+ * and cross-region events from one sender keep the order it sent
+ * them in. Every federated run's results depend on that order (the
+ * rack_ac_p2c golden pins it).
+ */
+constexpr std::uint64_t kCrossSeqBase = std::uint64_t{1} << 55;
 
 /**
  * Timing wheel in front of a 4-ary overflow heap, with stable
@@ -76,19 +96,20 @@ constexpr std::uint64_t kCrossSeqBase = std::uint64_t{1} << 63;
  *
  * Ordering. The wheel covers the window [cursor, cursor + kWheelSpan),
  * where the cursor is the last dispatched tick, so bucket `when mod
- * kWheelSpan` holds events of exactly one tick. A locally scheduled
- * event draws seq from one rising counter, so appending it to its
- * bucket keeps every bucket in seq order, and the first bucket at or
- * after the cursor's holds the wheel's (when, seq) minimum at its
- * head. Cross-region events (seq >= kCrossSeqBase), events filed
- * under a seq reserved earlier (reserveSeq), events due a window or
- * more ahead and events due before the cursor go to the heap
- * instead. Dispatch compares the wheel front with the heap top
- * by (when, seq), which is the only place the two residencies meet,
- * so the dispatch sequence is the one a single heap would produce.
- * The cursor only moves forward, to the tick just dispatched, and
- * that tick is the earliest pending one, so every wheel event stays
- * inside the window as it slides.
+ * kWheelSpan` holds events of exactly one tick. Each bucket is kept
+ * sorted by seq: an insertion starts at its tail and walks back only
+ * past entries with a higher seq, which a locally scheduled event of
+ * the highest region at its tick never meets. So the first bucket at
+ * or after the cursor's holds the wheel's (when, seq) minimum at its
+ * head, whichever seq an event was filed under -- a counter-drawn
+ * one, a reserved one (reserveSeq) or a cross-region one. Only
+ * events due a window or more ahead and events due before the cursor
+ * go to the heap. Dispatch compares the wheel front with the heap
+ * top by (when, seq), which is the only place the two residencies
+ * meet, so the dispatch sequence is the one a single heap would
+ * produce. The cursor only moves forward, to the tick just
+ * dispatched, and that tick is the earliest pending one, so every
+ * wheel event stays inside the window as it slides.
  */
 class EventQueue
 {
@@ -104,7 +125,9 @@ class EventQueue
     EventQueue();
 
     /**
-     * Schedule @p cb at absolute time @p when. Returns a handle.
+     * Schedule @p cb at absolute time @p when, in the region whose
+     * byte is @p tag (regionTag; 0 for a standalone queue). Returns a
+     * handle.
      *
      * Accepts any callable the Callback type can hold and constructs
      * it directly in its slot (one placement-new, no relocate hops);
@@ -112,43 +135,45 @@ class EventQueue
      */
     template <typename F>
     ALTOC_HOT EventId
-    schedule(Tick when, F &&cb)
+    schedule(Tick when, F &&cb, std::uint64_t tag = 0)
     {
         const std::uint32_t slot = parkCallback(std::forward<F>(cb));
         const EventId id = makeId(slot, slots_[slot].gen);
-        pushKey(when, slot);
+        push(when, tag | nextSeq_++, slot);
         return id;
     }
 
     /**
-     * Draw the next local sequence number without scheduling anything.
-     * The caller owns the sort position (when, seq) that schedule()
-     * would have given an event here, and may file an event under it
-     * later with scheduleAtSeq() -- or never, when it only needs to
-     * know whether that position has been passed (lastWhen/lastSeq).
+     * Draw the next local sequence number of region @p tag without
+     * scheduling anything. The caller owns the sort position (when,
+     * seq) that schedule() would have given an event here, and may
+     * file an event under it later with scheduleAtSeq() -- or never,
+     * when it only needs to know whether that position has been
+     * passed (lastWhen/lastSeq).
      */
-    std::uint64_t reserveSeq() { return nextSeq_++; }
+    std::uint64_t reserveSeq(std::uint64_t tag = 0) { return tag | nextSeq_++; }
 
     /**
      * Schedule @p cb at @p when under an explicit sort sequence
      * instead of the insertion counter. @p seq is either
-     *  - a cross-region seq (>= kCrossSeqBase): the kernel's delivery
-     *    path uses these to place an event by its sender's stream
-     *    (Kernel::crossSchedule); or
-     *  - a local seq taken earlier by reserveSeq() (< the counter),
-     *    filed once, before its tick is reached.
-     * Either way the event goes to the heap, so every wheel bucket
-     * keeps holding counter-drawn seqs in append order.
+     *  - a cross-region seq (kCrossSeqBase set): the kernel's
+     *    delivery path uses these to place an event by its sender's
+     *    stream (Kernel::crossSchedule); or
+     *  - a local seq taken earlier by reserveSeq() (below the
+     *    counter), filed once, before its tick is reached.
+     * The event goes to the wheel or the heap like any other.
      */
     template <typename F>
     EventId
     scheduleAtSeq(Tick when, std::uint64_t seq, F &&cb)
     {
-        altoc_assert(seq >= kCrossSeqBase || (seq != 0 && seq < nextSeq_),
+        const std::uint64_t local = seq & (kCrossSeqBase - 1);
+        altoc_assert((seq & kCrossSeqBase) != 0 ||
+                         (local != 0 && local < nextSeq_),
                      "explicit seq neither cross-region nor reserved");
         const std::uint32_t slot = parkCallback(std::forward<F>(cb));
         const EventId id = makeId(slot, slots_[slot].gen);
-        pushHeap(when, seq, slot);
+        push(when, seq, slot);
         return id;
     }
 
@@ -168,6 +193,10 @@ class EventQueue
     /** Number of live (non-cancelled, unfired) events. */
     std::size_t size() const { return liveCount_; }
 
+    /** Live events of region @p r (those whose seq carries its byte);
+     *  a scan of the slot pool, for end-of-run checks and gauges. */
+    std::size_t sizeIn(unsigned r) const;
+
     /** Time of the earliest live event; kTickInf when empty. */
     Tick nextTime() const;
 
@@ -186,9 +215,8 @@ class EventQueue
 
     /**
      * Full sort key of the earliest live event (same contract as
-     * peekTime()). Returns false when empty. The kernel's serial merge
-     * loop orders region fronts by (when, region, seq), so it needs
-     * the seq component too.
+     * peekTime()). Returns false when empty. An audit build's run
+     * loop reads the owning region from the seq's top byte.
      */
     bool
     peekKey(Tick &when, std::uint64_t &seq)
@@ -229,7 +257,10 @@ class EventQueue
     Tick runOneBefore(Tick until, Tick &now_out);
 
     /** Total events executed so far (for perf accounting). */
-    std::uint64_t executed() const { return executed_; }
+    std::uint64_t executed() const;
+
+    /** Events of region @p r executed so far. */
+    std::uint64_t executedIn(unsigned r) const { return executed_[r]; }
 
     /** Sort key of the last dispatched event -- the running one,
      *  inside a callback -- or (0, 0) before the first dispatch. */
@@ -265,8 +296,9 @@ class EventQueue
     struct Slot
     {
         Callback cb;
-        /** Sort key; kept here only while the event is in the wheel
-         *  (a heap event's key lives in its heap entry). */
+        /** Sort key. A heap event's `when` lives only in its heap
+         *  entry; `seq` is kept for both (sizeIn() reads its region
+         *  byte). */
         Tick when = 0;
         std::uint64_t seq = 0;
         std::uint32_t gen = 0;
@@ -279,7 +311,8 @@ class EventQueue
         bool inWheel = false;
     };
 
-    /** One wheel tick's FIFO; head is kNilSlot while it is empty. */
+    /** One wheel tick's events in seq order; head is kNilSlot while
+     *  it is empty. */
     struct Bucket
     {
         std::uint32_t head = kNilSlot;
@@ -365,12 +398,12 @@ class EventQueue
     std::uint32_t allocSlotSlow();
     void freeSlot(std::uint32_t slot);
 
-    /** Insertion half of schedule(): draws the next local seq, files
-     *  the event in the wheel or the heap, updates the front cache. */
-    void pushKey(Tick when, std::uint32_t slot);
+    /** Insertion half of schedule() and scheduleAtSeq(): files the
+     *  event in the wheel or the heap, updates the front cache. */
+    void push(Tick when, std::uint64_t seq, std::uint32_t slot);
 
-    /** Heap insertion under a given seq (scheduleAtSeq, and local
-     *  events outside the wheel's window). */
+    /** Heap insertion of a counted event (outside the wheel's
+     *  window). */
     void pushHeap(Tick when, std::uint64_t seq, std::uint32_t slot);
 
     /** A new event at (when, seq) replaces a valid cached front it
@@ -422,9 +455,10 @@ class EventQueue
     std::size_t liveCount_ = 0;
     std::size_t deadInHeap_ = 0;
     std::uint64_t nextSeq_ = 1;
-    std::uint64_t executed_ = 0;
     Tick lastWhen_ = 0;
     std::uint64_t lastSeq_ = 0;
+    /** Executed events per region byte. */
+    std::uint64_t executed_[std::size_t{1} << (64 - kRegionShift)] = {};
 };
 
 } // namespace altoc::sim

@@ -1,30 +1,33 @@
 /**
  * @file
- * Multi-region event kernel: one simulation, many EventQueues, one
+ * Multi-region event kernel: one simulation, one event queue, one
  * canonical dispatch order.
  *
- * A Kernel owns a set of *regions*, each a full Simulator (its own
- * queue, clock and auditor). Regions map onto the physical units of a
- * topology: in a rack, every server is a region and the ToR
- * dispatcher is one more. The only events that cross a region
+ * A Kernel owns a set of *regions*, each a Simulator (its own index
+ * and auditor), and the one event queue and clock they all share; the
+ * queue counts each region's events. Regions map onto the physical
+ * units of a topology: in a rack, every server is a region and the
+ * ToR dispatcher is one more. The only events that cross a region
  * boundary are ToR->server deliveries, scheduled through
  * crossSchedule().
  *
  * Canonical order. Events dispatch in ascending
  *
- *     (tick, region index, per-queue sequence)
+ *     (tick, region index, per-region sequence)
  *
- * order. Within a region this is exactly the classic (tick, seq)
- * insertion order, so a single-region kernel *is* the standalone
- * simulator (run() literally delegates to Simulator::run then).
+ * order. Every seq carries its region index in its top byte
+ * (event_queue.hh), so the queue's own (tick, seq) order *is* this
+ * order. Within a region it is the classic (tick, seq) insertion
+ * order, and region 0 draws exactly the seqs a standalone simulator
+ * would, so a single-region kernel *is* the standalone simulator.
  * Across regions, ties at a tick break by region index, so server
  * events at a tick dispatch before the ToR's.
  *
  * Cross-region events carry an explicit sequence composed from
- * (sender region, sender counter) in the kCrossSeqBase subspace (see
- * event_queue.hh): at its tick in the destination region such an
- * event sorts after every locally scheduled one, in the order the
- * sender sent it.
+ * (sender region, sender counter) with the kCrossSeqBase bit set,
+ * under the receiving region's byte: at its tick in the destination
+ * region such an event sorts after every locally scheduled one, in
+ * the order the sender sent it.
  */
 
 #ifndef ALTOC_SIM_KERNEL_HH
@@ -56,11 +59,7 @@ class Kernel
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 
-    /**
-     * Append a region. With more than one region each Simulator gets
-     * a back-pointer so its requestStop() reaches the kernel-wide
-     * flag; a lone region keeps the classic self-contained wiring.
-     */
+    /** Append a region (at most 256: a seq's region byte). */
     Simulator &addRegion();
 
     Simulator &region(unsigned r) { return *regions_[r]; }
@@ -72,18 +71,14 @@ class Kernel
         return static_cast<unsigned>(regions_.size());
     }
 
-    /** True when every region's queue is empty. */
-    bool idle() const;
+    /** True when no region has an event pending. */
+    bool idle() const { return loop_.events.empty(); }
 
-    /** Latest region clock (the global time after run() synchronized
-     *  the regions). */
-    Tick now() const;
+    /** The simulated time every region shares. */
+    Tick now() const { return loop_.now; }
 
     /** Events executed across all regions. */
-    std::uint64_t eventsExecuted() const;
-
-    /** Stop before the next dispatch. */
-    void requestStop() { stopFlag_ = true; }
+    std::uint64_t eventsExecuted() const { return loop_.events.executed(); }
 
     /**
      * Schedule @p cb at @p when into region @p dst on behalf of an
@@ -96,21 +91,18 @@ class Kernel
     crossSchedule(unsigned src, unsigned dst, Tick when, F &&cb)
     {
         const std::uint64_t seq =
-            kCrossSeqBase |
+            regionTag(dst) | kCrossSeqBase |
             (static_cast<std::uint64_t>(src) << kCrossRegionShift) |
             crossCtr_[src]++;
-        region(dst).events_.scheduleAtSeq(when, seq, std::forward<F>(cb));
-        if (dst < front_.size() && when < front_[dst])
-            front_[dst] = when;
+        loop_.events.scheduleAtSeq(when, seq, std::forward<F>(cb));
     }
 
     /**
-     * Dispatch in (tick, region, seq) order until every queue drains,
-     * time would pass @p until, or requestStop(). One region
-     * delegates to Simulator::run. Region clocks are synchronized to
-     * the returned final time.
+     * Dispatch in (tick, region, seq) order until the queue drains,
+     * time would pass @p until, or a region requests a stop
+     * (Simulator::run).
      */
-    Tick run(Tick until = kTickInf);
+    Tick run(Tick until = kTickInf) { return loop_.run(until); }
 
     // ----- serial stand-ins for bench/perf/altoc_perf.cc ---------------
     // bench/perf/altoc_perf.cc names these, and only a benchmark
@@ -125,22 +117,14 @@ class Kernel
     std::uint64_t parallelWindows() const { return 0; }
 
   private:
-    /** Bits reserved for the sender counter inside a cross seq; the
-     *  region index sits above them (see event_queue.hh). */
+    /** Bit position of the sender region inside a cross seq; the
+     *  sender counter sits below it (see event_queue.hh). */
     static constexpr unsigned kCrossRegionShift = 40;
 
-    /** Dispatch the head event of region @p r (audit hook + clock
-     *  update + callback). Caller guarantees the queue is
-     *  non-empty. */
-    void dispatchOne(unsigned r);
-
+    Simulator::Loop loop_;
     std::vector<std::unique_ptr<Simulator>> regions_;
     /** Per-region cross-schedule counters. */
     std::vector<std::uint64_t> crossCtr_;
-    /** The run loop's cached earliest tick per region (empty outside
-     *  run()). */
-    std::vector<Tick> front_;
-    bool stopFlag_ = false;
 };
 
 } // namespace altoc::sim

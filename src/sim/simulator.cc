@@ -1,67 +1,56 @@
 /**
  * @file
- * Simulator run loop.
+ * Simulator construction and the run loop every region shares.
  */
 
 #include "sim/simulator.hh"
 
-#include "sim/kernel.hh"
-
 namespace altoc::sim {
 
-void
-Simulator::kernelRequestStop()
+Simulator::Simulator()
+    : ownLoop_(std::make_unique<Loop>()), loop_(ownLoop_.get()), tag_(0)
 {
-    kernel_->requestStop();
+    loop_->regions.push_back(this);
+}
+
+Simulator::Simulator(Loop &loop, unsigned region)
+    : loop_(&loop), tag_(regionTag(region))
+{
+    loop.regions.push_back(this);
+}
+
+Simulator::~Simulator() = default;
+
+ALTOC_HOT bool
+Simulator::Loop::dispatchBefore(Tick until)
+{
+#if ALTOC_AUDIT_ENABLED
+    // The auditor of the region that owns the front event needs its id
+    // and time before it runs; the queue caches the front it found, so
+    // the dispatch below does not search again.
+    Tick when = 0;
+    std::uint64_t seq = 0;
+    if (events.peekKey(when, seq) && when <= until) {
+        ALTOC_AUDIT_HOOK(regions[seq >> kRegionShift]->auditor_,
+                         beginEvent(events.peekId(), when));
+    }
+#endif
+    // The queue sets now to the event's tick before the callback runs.
+    return events.runOneBefore(until, now) != kTickInf;
 }
 
 Tick
-Simulator::run(Tick until)
+Simulator::Loop::run(Tick until)
 {
-    stopRequested_ = false;
-#if ALTOC_AUDIT_ENABLED
-    // Audit builds need the event id and time *before* dispatch, so
-    // they keep the two-pass peek + run loop.
-    while (!events_.empty() && !stopRequested_) {
-        const Tick next = events_.peekTime();
-        if (next > until) {
-            now_ = until;
-            return now_;
-        }
-        ALTOC_AUDIT_HOOK(auditor_, beginEvent(events_.peekId(), next));
-        now_ = next;
-        events_.runOne();
+    stopRequested = false;
+    while (!stopRequested && dispatchBefore(until)) {
     }
-#else
-    // Fused peek + pop: one front search per event. now_ is set by
-    // the queue before the callback runs, so now() stays correct
-    // inside event handlers.
-    while (!events_.empty() && !stopRequested_) {
-        if (events_.runOneBefore(until, now_) == kTickInf) {
-            now_ = until;
-            return now_;
-        }
-    }
-#endif
-    if (events_.empty() && until != kTickInf && now_ < until)
-        now_ = until;
-    return now_;
-}
-
-bool
-Simulator::step()
-{
-    if (events_.empty())
-        return false;
-#if ALTOC_AUDIT_ENABLED
-    const Tick next = events_.peekTime();
-    ALTOC_AUDIT_HOOK(auditor_, beginEvent(events_.peekId(), next));
-    now_ = next;
-    events_.runOne();
-#else
-    events_.runOneBefore(kTickInf, now_);
-#endif
-    return true;
+    // Only a run that was not stopped has dispatched every event up to
+    // `until`, so only it may move the clock there (reached() relies
+    // on that); a stopped run ends at its last dispatched event.
+    if (!stopRequested && until != kTickInf && now < until)
+        now = until;
+    return now;
 }
 
 } // namespace altoc::sim

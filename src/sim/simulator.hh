@@ -1,11 +1,20 @@
 /**
  * @file
- * The Simulator drives the event queue and owns simulated time.
+ * The Simulator: one region of an event kernel, the handle through
+ * which components read simulated time and schedule work.
  *
  * Components hold a Simulator reference and use after()/at() to
  * schedule work. run() executes until the queue drains or a limit is
  * reached. Simulated time is monotone: scheduling in the past is a
  * library bug and panics.
+ *
+ * Every region of one simulation shares one event queue, one clock,
+ * one stop flag and the run loop over them (sim/kernel.hh builds
+ * worlds of many regions). A region stamps its index on the seq of
+ * every event it schedules (event_queue.hh), so the queue counts each
+ * region's events and the loop finds the region that owns each one;
+ * the region itself keeps only that index and its auditor. A
+ * default-constructed Simulator is region 0 of a world of its own.
  *
  * Callbacks are EventQueue::Callback (an InlineFn): closures convert
  * implicitly at the call site but must fit the 48-byte inline budget
@@ -17,7 +26,9 @@
 #define ALTOC_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -26,27 +37,30 @@
 
 namespace altoc::sim {
 
-class Kernel;
-
 /**
- * Event-driven simulation engine with nanosecond resolution.
- *
- * A Simulator can run standalone (the classic world) or as one
- * *region* of a sim::Kernel, which then owns the run loop and the
- * canonical cross-region dispatch order. Region membership only
- * reroutes requestStop() to the kernel-wide flag; scheduling,
- * auditing and the standalone run() are unchanged.
+ * Event-driven simulation engine with nanosecond resolution, seen
+ * from one region.
  */
 class Simulator
 {
+    /** What every region of one simulation shares. */
+    struct Loop;
+
   public:
-    Simulator() = default;
+    /** Region 0 of a world of its own. */
+    Simulator();
+
+    /** Region @p region of @p loop, the next one (only
+     *  Kernel::addRegion can name a Loop). */
+    Simulator(Loop &loop, unsigned region);
+
+    ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /** Current simulated time. */
-    Tick now() const { return now_; }
+    /** Current simulated time, the same in every region. */
+    Tick now() const { return loop_->now; }
 
     /** Schedule @p cb to run @p delay ns from now. The callable is
      *  forwarded straight into its event slot (see
@@ -55,7 +69,8 @@ class Simulator
     EventId
     after(Tick delay, F &&cb)
     {
-        return events_.schedule(now_ + delay, std::forward<F>(cb));
+        return loop_->events.schedule(loop_->now + delay,
+                                      std::forward<F>(cb), tag_);
     }
 
     /** Schedule @p cb at absolute time @p when (must be >= now). */
@@ -63,14 +78,14 @@ class Simulator
     EventId
     at(Tick when, F &&cb)
     {
-        altoc_assert(when >= now_, "scheduling in the past: %llu < %llu",
+        altoc_assert(when >= now(), "scheduling in the past: %llu < %llu",
                      static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(now_));
-        return events_.schedule(when, std::forward<F>(cb));
+                     static_cast<unsigned long long>(now()));
+        return loop_->events.schedule(when, std::forward<F>(cb), tag_);
     }
 
     /** Cancel a pending event; returns false if it already ran. */
-    bool cancel(EventId id) { return events_.cancel(id); }
+    bool cancel(EventId id) { return loop_->events.cancel(id); }
 
     /**
      * Reserve the dispatch position an event scheduled right now would
@@ -79,71 +94,80 @@ class Simulator
      * position has been passed, and atSeq() files a real event there
      * if one is needed after all.
      */
-    std::uint64_t reserveSeq() { return events_.reserveSeq(); }
+    std::uint64_t reserveSeq() { return loop_->events.reserveSeq(tag_); }
 
     /** Schedule @p cb at (@p when, @p seq), a position reserved by
-     *  reserveSeq() whose tick has not been reached. */
+     *  this region's reserveSeq() whose tick has not been reached. */
     template <typename F>
     EventId
     atSeq(Tick when, std::uint64_t seq, F &&cb)
     {
-        altoc_assert(when >= now_, "scheduling in the past: %llu < %llu",
+        altoc_assert(when >= now(), "scheduling in the past: %llu < %llu",
                      static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(now_));
-        return events_.scheduleAtSeq(when, seq, std::forward<F>(cb));
+                     static_cast<unsigned long long>(now()));
+        altoc_assert((seq >> kRegionShift) == region(),
+                     "seq reserved by another region");
+        return loop_->events.scheduleAtSeq(when, seq, std::forward<F>(cb));
     }
 
     /**
-     * True iff an event at (@p when, @p seq) in this simulator's queue
-     * would already have been dispatched: its tick is earlier than
-     * now(), or it is now() and either @p seq sorts below the last
-     * dispatched event (the running one, inside a callback) or a run
-     * bounded by `until` has moved the clock past the last dispatch,
-     * which it does only once every event up to the new time has run.
+     * True iff an event at (@p when, @p seq) would already have been
+     * dispatched: its tick is earlier than now(), or it is now() and
+     * either @p seq sorts below the last dispatched event (the running
+     * one, inside a callback) or a run bounded by `until` has moved
+     * the clock past the last dispatch, which it does only once every
+     * event up to the new time has run. @p seq carries its region's
+     * byte, so the comparison follows the (tick, region, seq) order.
      */
     bool
     reached(Tick when, std::uint64_t seq) const
     {
-        return when < now_ ||
-               (when == now_ && (seq < events_.lastSeq() ||
-                                 now_ != events_.lastWhen()));
+        const Tick t = loop_->now;
+        return when < t ||
+               (when == t && (seq < loop_->events.lastSeq() ||
+                              t != loop_->events.lastWhen()));
     }
 
     /**
-     * Run until the event queue drains or simulated time would pass
-     * @p until. Returns the final simulated time.
+     * Run the whole world -- every region -- until the event queue
+     * drains, simulated time would pass @p until, or a region calls
+     * requestStop(). Returns the final simulated time: the last
+     * dispatched event's for a stopped run, otherwise @p until when
+     * it is finite.
      */
-    Tick run(Tick until = kTickInf);
+    Tick run(Tick until = kTickInf) { return loop_->run(until); }
 
-    /** Execute exactly one event if present; returns false if empty. */
-    bool step();
+    /** Execute exactly one event of the world if present; returns
+     *  false if empty. */
+    bool step() { return loop_->dispatchBefore(kTickInf); }
 
-    /** True when no events are pending. */
-    bool idle() const { return events_.empty(); }
+    /** True when none of this region's events are pending. */
+    bool idle() const { return pendingEvents() == 0; }
 
-    /** Pending event count (live only). */
-    std::size_t pendingEvents() const { return events_.size(); }
+    /** This region's pending event count (live only). */
+    std::size_t
+    pendingEvents() const
+    {
+        return loop_->events.sizeIn(region());
+    }
 
-    /** Total events executed (host-side performance accounting). */
-    std::uint64_t eventsExecuted() const { return events_.executed(); }
+    /** Events of this region executed (host-side performance
+     *  accounting). */
+    std::uint64_t
+    eventsExecuted() const
+    {
+        return loop_->events.executedIn(region());
+    }
 
     /** Request that the run loop stop before dispatching the next
-     *  event. For a region of a multi-region kernel this sets the
-     *  kernel-wide flag, which the merge loop checks before its next
-     *  dispatch in any region. */
-    void
-    requestStop()
-    {
-        if (kernel_ != nullptr)
-            kernelRequestStop();
-        else
-            stopRequested_ = true;
-    }
+     *  event, whichever region owns it. */
+    void requestStop() { loop_->stopRequested = true; }
 
     /**
-     * Attach an invariant auditor; it is notified before every event
-     * dispatch (audit builds only -- the hook compiles away without
-     * ALTOC_AUDIT). Pass nullptr to detach. Not owned.
+     * Attach an invariant auditor; it is notified before the dispatch
+     * of every event of this region (audit builds only -- the hook
+     * compiles away without ALTOC_AUDIT). Pass nullptr to detach. Not
+     * owned.
      */
     void setAuditor(Auditor *auditor) { auditor_ = auditor; }
 
@@ -152,17 +176,35 @@ class Simulator
   private:
     friend class Kernel;
 
-    /** Out-of-line so this header need not see the Kernel type. */
-    void kernelRequestStop();
+    struct Loop
+    {
+        EventQueue events;
+        Tick now = 0;
+        bool stopRequested = false;
+        /** Region r is regions[r] (not owned). */
+        std::vector<Simulator *> regions;
 
-    EventQueue events_;
+        /** Simulator::run. */
+        Tick run(Tick until);
+
+        /** Dispatch the earliest event if it fires at or before
+         *  @p until: its region's audit hook, the clock, the callback.
+         *  False when there is none. */
+        bool dispatchBefore(Tick until);
+    };
+
+    unsigned
+    region() const
+    {
+        return static_cast<unsigned>(tag_ >> kRegionShift);
+    }
+
+    /** The world's loop when this simulator is one of its own. */
+    std::unique_ptr<Loop> ownLoop_;
+    Loop *loop_;
+    /** This region's byte (regionTag). */
+    std::uint64_t tag_;
     Auditor *auditor_ = nullptr;
-    /** Owning kernel when this simulator is a region of a multi-
-     *  region world; null standalone (and for single-region kernels,
-     *  which delegate to the classic run loop). */
-    Kernel *kernel_ = nullptr;
-    Tick now_ = 0;
-    bool stopRequested_ = false;
 };
 
 } // namespace altoc::sim

@@ -81,8 +81,8 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     // federation adds one more region for the ToR (arrivals, pick
     // decisions, link departures). Region indices are the canonical
     // tie-break order, so server events at a tick dispatch before
-    // the ToR's. With one server the ToR shares region 0 and the
-    // kernel degenerates to a single Simulator.
+    // the ToR's. With one server the ToR shares region 0, and the
+    // kernel is exactly a standalone Simulator.
     servers_.reserve(rack_.servers);
     for (unsigned s = 0; s < rack_.servers; ++s) {
         servers_.push_back(makeServer(
@@ -223,6 +223,8 @@ Rack::shedAtTor([[maybe_unused]] std::uint64_t rpc_id)
                      record(torSim_->now(), 0,
                             trace::TraceKind::AdmissionShed,
                             static_cast<std::uint32_t>(rpc_id)));
+    if (++sharedDone_ >= stopAfter_)
+        torSim_->requestStop();
 }
 
 void
@@ -232,11 +234,8 @@ Rack::noteCoreDeath(unsigned s)
         return;
     dead_[s] = true;
     --liveServers_;
-    // Stamp the record with the dying server's own region clock, the
-    // causal time of the death. The ToR's clock only advances when a
-    // ToR event runs, so it can lag.
     ALTOC_TRACE_HOOK(torTracer_.get(),
-                     record(servers_[s]->sim().now(), 0,
+                     record(torSim_->now(), 0,
                             trace::TraceKind::ServerDead, s));
 }
 
@@ -247,6 +246,7 @@ Rack::stopAfterCompletions(std::uint64_t n)
         servers_[0]->stopAfterCompletions(n);
         return;
     }
+    stopAfter_ = n;
     for (auto &srv : servers_)
         srv->stopAfterSharedCompletions(&sharedDone_, n);
 }

@@ -15,19 +15,20 @@
  * intra-server layer performs freely.
  *
  * Every server, and the ToR, runs in its own kernel region, and the
- * kernel dispatches them all in one (tick, region, seq) order: at a
- * tick, server events run in server order, then the ToR's. The only
- * event that crosses a region boundary is a request's delivery: the
- * ToR schedules its wire form into the chosen server's region
- * (Kernel::crossSchedule) after the rack link's delay, and the
- * server materializes it there. The p2c and ll policies read server
- * queue depths directly at pick time, an oracle a real ToR lacks.
+ * kernel's one event queue dispatches them all in one (tick, region,
+ * seq) order: at a tick, server events run in server order, then the
+ * ToR's. The only event that crosses a region boundary is a
+ * request's delivery: the ToR schedules its wire form into the chosen
+ * server's region (Kernel::crossSchedule) after the rack link's
+ * delay, and the server materializes it there. The p2c and ll
+ * policies read server queue depths directly at pick time, an oracle
+ * a real ToR lacks.
  *
  * A single server is a rack of one: runExperiment drives every
  * topology through this class. With servers == 1 the Rack adds
  * nothing to the world -- no ToR RNG draw, no link event, no extra
- * trace ring, one kernel region whose run() delegates to
- * Simulator::run -- so the (tick, seq) event stream, and therefore
+ * trace ring, one kernel region, which draws the seqs a standalone
+ * Simulator would -- so the (tick, seq) event stream, and therefore
  * every golden, fingerprint and trace file, is the one a bare
  * makeServer + LoadGenerator run produces. tests/test_rack.cc pins
  * this.
@@ -80,10 +81,10 @@ class Rack
 
     /** The ToR's own kernel region (arrival events, dispatch
      *  decisions, link departures live here). With one server it is
-     *  that server's region -- a single clock. */
+     *  that server's region. */
     sim::Simulator &sim() { return *torSim_; }
 
-    /** True when every region's queue drained. */
+    /** True when the kernel's event queue drained. */
     bool idle() const { return kernel_.idle(); }
 
     unsigned numServers() const
@@ -125,12 +126,13 @@ class Rack
             torDeliver(s, w);
     }
 
-    /** Account one request shed at the ToR (all servers dead). */
+    /** Account one request shed at the ToR (all servers dead); it
+     *  counts toward stopAfterCompletions like a completion. */
     void shedAtTor(std::uint64_t rpc_id);
 
-    /** Stop the kernel once @p n requests completed rack-wide (one
-     *  server counts its own completions; a federation shares one
-     *  counter). */
+    /** Stop the kernel once @p n requests are accounted for rack-wide:
+     *  completed, shed at a server's admission or shed at the ToR (one
+     *  server counts its own; a federation shares one counter). */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
@@ -237,9 +239,11 @@ class Rack
     unsigned rrNext_ = 0;
     std::uint64_t torDispatched_ = 0;
     std::uint64_t torShed_ = 0;
-    /** Rack-wide completion count, shared across every server's
-     *  completion path (federations only). */
+    /** Rack-wide count of requests accounted for, shared by every
+     *  server's completion and shed paths and the ToR's shed path
+     *  (federations only). */
     std::uint64_t sharedDone_ = 0;
+    std::uint64_t stopAfter_ = ~std::uint64_t{0};
 };
 
 } // namespace altoc::system

@@ -238,6 +238,7 @@ Server::onRpcShed(net::Rpc *r)
                      record(sim_.now(), 0, trace::TraceKind::AdmissionShed,
                             static_cast<std::uint32_t>(r->id)));
     pool_.release(r);
+    countTowardStop();
 }
 
 void
@@ -271,12 +272,17 @@ Server::onRpcDone(cpu::Core &core, net::Rpc *r)
     if (hook_)
         hook_(*r, latency);
     pool_.release(r);
-    if (sharedDone_ != nullptr) {
-        if (++*sharedDone_ >= stopAfter_)
-            sim_.requestStop();
-    } else if (completed_ >= stopAfter_) {
+    countTowardStop();
+}
+
+void
+Server::countTowardStop()
+{
+    const std::uint64_t done = sharedDone_ != nullptr
+                                   ? ++*sharedDone_
+                                   : completed_ + requestsShed_;
+    if (done >= stopAfter_)
         sim_.requestStop();
-    }
 }
 
 Tick

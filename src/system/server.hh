@@ -214,18 +214,19 @@ class Server : public sched::CompletionSink
     void finishRun();
 
     /**
-     * Halt the run loop once @p n requests have completed. Designs
-     * with periodic activity (the ALTOCUMULUS runtime) never drain
-     * their event queue, so open-loop experiments must bound the run
-     * by completions.
+     * Halt the run loop once @p n requests have been accounted for:
+     * completed, or shed (requestsShed()). Designs with periodic
+     * activity (the ALTOCUMULUS runtime) never drain their event
+     * queue, so open-loop experiments must bound the run by the
+     * requests they issued.
      */
     void stopAfterCompletions(std::uint64_t n) { stopAfter_ = n; }
 
     /**
-     * Rack variant: count this server's completions into the shared
-     * @p counter and stop the (shared) kernel once it reaches @p n.
-     * The pointer must outlive the run. Replaces any per-server
-     * stopAfterCompletions bound.
+     * Rack variant: count this server's completions and sheds into
+     * the shared @p counter and stop the (shared) kernel once it
+     * reaches @p n. The pointer must outlive the run. Replaces any
+     * per-server stopAfterCompletions bound.
      */
     void
     stopAfterSharedCompletions(std::uint64_t *counter, std::uint64_t n)
@@ -318,6 +319,10 @@ class Server : public sched::CompletionSink
     /** Admit @p r (or shed it under degraded capacity). */
     void inject(net::Rpc *r);
 
+    /** One more request accounted for (completed or shed): stop the
+     *  run once the stopAfterCompletions bound is reached. */
+    void countTowardStop();
+
     /** Schedule the spec's scripted kills (kill=, killm=) and arm the
      *  killp window reaper (called once at construction when a fault
      *  injector exists). */
@@ -360,9 +365,9 @@ class Server : public sched::CompletionSink
     std::uint64_t completed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
-    /** Rack-shared completion counter; null for a bare server and a
-     *  rack of one (stopAfter_ then bounds this server's own
-     *  completions). */
+    /** Rack-shared count of requests accounted for; null for a bare
+     *  server and a rack of one (stopAfter_ then bounds this server's
+     *  own completions + sheds). */
     std::uint64_t *sharedDone_ = nullptr;
     /** At least one core has fail-stopped; admission shedding is
      *  armed (see requestsShed()). */

@@ -293,8 +293,8 @@ crashWorkload(std::uint64_t fault_seed)
     WorkloadSpec spec = chaosWorkload(fault_seed);
     spec.faults = FaultSpec::parse(kCrashSpec);
     spec.faults.seed = fault_seed;
-    // Crash runs shed, so stopAfterCompletions may be unreachable;
-    // the survivors drain their backlog well within this bound.
+    // A backstop: sheds count toward the stop, so the run ends once
+    // every request completed or was shed, well within this bound.
     spec.timeLimit = 50 * kMs;
     return spec;
 }
@@ -664,10 +664,9 @@ TEST(CrashTrace, CrashTimelineValidatesAndReconciles)
     // A worker death then a manager death: both rescue paths and the
     // failover land in one timeline.
     spec.faults = FaultSpec::parse("kill=2@150000,killm=1@200000");
-    // Shed runs never reach stopAfterCompletions, so the run lasts
-    // until the time limit -- keep it short and the rings big enough
-    // that the periodic ThresholdRecompute stream (~5 records/us per
-    // live manager) evicts nothing.
+    // Keep the limit short and the rings big enough that the periodic
+    // ThresholdRecompute stream (~5 records/us per live manager)
+    // evicts nothing.
     spec.timeLimit = 5 * kMs;
     spec.tracing.enabled = true;
     spec.tracing.ringSlots = std::size_t{1} << 16;

@@ -3,12 +3,12 @@
  * Event-kernel tests for the slotted queue: generation-counted handle
  * reuse, mass-cancellation compaction, schedule/cancel interleaving
  * against a reference model over both residencies (timing wheel and
- * overflow heap), cross-region seqs and late-filed reserved seqs,
- * tie-break stability, the inline-callback capture-size compile
- * check, the zero-allocation guarantee on the steady-state hot path,
- * and a whole-pipeline bound on allocations and bytes per completed
- * request across a warm runExperiment slice, for one server and for
- * a load-reading rack.
+ * overflow heap), cross-region seqs, late-filed reserved seqs and
+ * region-tagged seqs, tie-break stability, the inline-callback
+ * capture-size compile check, the zero-allocation guarantee on the
+ * steady-state hot path, and a whole-pipeline bound on allocations
+ * and bytes per completed request across a warm runExperiment slice,
+ * for one server and for a load-reading rack.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +198,12 @@ enum class DelayMix
      *  passed -- or never, once it is -- at ticks that local and
      *  cross-region events also use. */
     StraddleWithReservedSeq,
+    /** StraddleWithReservedSeq with every local and reserved seq
+     *  under a random region's byte (drawn from the one counter) and
+     *  cross-region seqs under random destination bytes, as a
+     *  kernel's regions file them into its one queue: events of lower
+     *  regions land in buckets behind ones of higher regions. */
+    RegionTaggedSeqs,
 };
 
 /** Small deterministic generator for the stress test. */
@@ -239,11 +245,13 @@ checkAgainstReferenceModel(DelayMix mix)
     std::vector<int> fired;
     std::vector<int> expected;
     std::uint64_t crossCtr[4] = {};
+    constexpr unsigned kRegions = 5;
     std::size_t cancelled[2] = {}; // [heap, wheel]
     std::size_t crossScheduled = 0;
     std::size_t sameTickAcrossResidency = 0;
-    const bool withCross = mix == DelayMix::StraddleWithCrossSeq ||
-                           mix == DelayMix::StraddleWithReservedSeq;
+    const bool withCross = mix >= DelayMix::StraddleWithCrossSeq;
+    const bool withReserved = mix >= DelayMix::StraddleWithReservedSeq;
+    const bool withRegions = mix == DelayMix::RegionTaggedSeqs;
     // Reserved positions not filed yet, with the token an event filed
     // there will carry; and the last dispatched key, which decides
     // whether one may still be filed.
@@ -252,6 +260,9 @@ checkAgainstReferenceModel(DelayMix mix)
     std::size_t reservedFiled = 0;
     std::size_t reservedPassed = 0;
     std::size_t reservedBehindLater = 0; // filed after a higher seq at its tick
+    // Wheel events filed while a higher seq of their tick was in the
+    // wheel, so the bucket insert had to walk back past it.
+    std::size_t wheelBehindLater = 0;
 
     Lcg rnd{12345};
     std::uint64_t seq = 1; // the queue's local counter starts at 1
@@ -305,41 +316,50 @@ checkAgainstReferenceModel(DelayMix mix)
         ASSERT_EQ(fired.size(), expected.size());
         ASSERT_EQ(fired.back(), expected.back()) << "dispatch order";
     };
+    // Count what filing @p key in the residency @p inWheel meets.
+    auto noteFiling = [&](const ModelKey &key, bool inWheel) {
+        bool otherResidency = false, behindLater = false;
+        for (const Pending &p : live) {
+            if (p.key.first != key.first)
+                continue;
+            otherResidency |= p.inWheel != inWheel;
+            behindLater |= inWheel && p.inWheel && p.key.second > key.second;
+        }
+        sameTickAcrossResidency += otherResidency;
+        wheelBehindLater += behindLater;
+    };
     auto schedule = [&](Tick when) {
         const int tok = token++;
         auto cb = [tok, &fired] { fired.push_back(tok); };
         const bool inWheel = when - now < kW;
         const bool cross = withCross && rnd(4) == 0;
+        const std::uint64_t tag = withRegions ? regionTag(rnd(kRegions)) : 0;
         // Few reservations are open at once, so later schedules often
         // share their ticks (drawWhen) before they are filed.
-        if (!cross && mix == DelayMix::StraddleWithReservedSeq &&
-            reserved.size() < 8 && rnd(3) == 0) {
+        if (!cross && withReserved && reserved.size() < 8 && rnd(3) == 0) {
             // Take the position now; the event may be filed later.
-            const ModelKey key{when, q.reserveSeq()};
-            EXPECT_EQ(key.second, seq++);
+            const ModelKey key{when, q.reserveSeq(tag)};
+            EXPECT_EQ(key.second, tag | seq++);
             reserved.emplace_back(key, tok);
             return;
         }
         ModelKey key;
         EventId id = kNoEvent;
         if (cross) {
-            // The kernel's composition: (sender region, its counter).
+            // The kernel's composition: (sender region, its counter)
+            // under the receiving region's byte.
             const std::uint64_t region = rnd(4);
-            key = {when, kCrossSeqBase | region << 40 | crossCtr[region]++};
+            key = {when, tag | kCrossSeqBase | region << 40 |
+                             crossCtr[region]++};
             id = q.scheduleAtSeq(when, key.second, cb);
             ++crossScheduled;
         } else {
-            key = {when, seq++};
-            id = q.schedule(when, cb);
+            key = {when, tag | seq++};
+            id = q.schedule(when, cb, tag);
         }
-        for (const Pending &p : live) {
-            if (p.key.first == when && p.inWheel != (inWheel && !cross)) {
-                ++sameTickAcrossResidency;
-                break;
-            }
-        }
+        noteFiling(key, inWheel);
         model.emplace(key, tok);
-        live.push_back(Pending{id, key, inWheel && !cross});
+        live.push_back(Pending{id, key, inWheel});
     };
 
     for (int op = 0; op < 20000; ++op) {
@@ -374,17 +394,17 @@ checkAgainstReferenceModel(DelayMix mix)
                 const EventId id = q.scheduleAtSeq(
                     key.first, key.second,
                     [tok = tok, &fired] { fired.push_back(tok); });
-                bool sameTick = false, behindLater = false;
                 for (const Pending &p : live) {
-                    if (p.key.first == key.first && p.inWheel) {
-                        sameTick = true;
-                        behindLater |= p.key.second > key.second;
+                    if (p.key.first == key.first &&
+                        p.key.second > key.second) {
+                        ++reservedBehindLater;
+                        break;
                     }
                 }
-                sameTickAcrossResidency += sameTick;
-                reservedBehindLater += behindLater;
+                const bool inWheel = key.first - now < kW;
+                noteFiling(key, inWheel);
                 model.emplace(key, tok);
-                live.push_back(Pending{id, key, false});
+                live.push_back(Pending{id, key, inWheel});
                 ++reservedFiled;
             }
         } else if (mix != DelayMix::Near) {
@@ -424,11 +444,13 @@ checkAgainstReferenceModel(DelayMix mix)
     if (withCross) {
         EXPECT_GT(crossScheduled, 0u);
     }
-    if (mix == DelayMix::StraddleWithReservedSeq) {
+    if (withReserved) {
         EXPECT_GT(reservedFiled, 0u);
         EXPECT_GT(reservedPassed, 0u);
         EXPECT_GT(reservedBehindLater, 0u)
             << "no reserved seq filed behind a later one at its tick";
+        EXPECT_GT(wheelBehindLater, 0u)
+            << "no bucket insert walked back past a later seq";
     }
 }
 
@@ -452,6 +474,11 @@ TEST(EventStress, CrossSeqEventsAtSharedTicksMatchReferenceModel)
 TEST(EventStress, ReservedSeqEventsFiledLateMatchReferenceModel)
 {
     checkAgainstReferenceModel(DelayMix::StraddleWithReservedSeq);
+}
+
+TEST(EventStress, RegionTaggedSeqsMatchReferenceModel)
+{
+    checkAgainstReferenceModel(DelayMix::RegionTaggedSeqs);
 }
 
 // ---------------------------------------------------------------------

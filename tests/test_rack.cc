@@ -265,6 +265,29 @@ TEST(RackRun, AllPoliciesCompleteAndAreDeterministic)
     }
 }
 
+/** A run stopped by its request bound ends at its last dispatched
+ *  event whether or not a time limit also bounds it. RSS has no
+ *  periodic events, so the stopping completion leaves the queue
+ *  empty: the same run with a 500 ms limit reports the same rate,
+ *  utilization and fingerprint as without one, on one server and on
+ *  a round-robin rack. */
+TEST(RackRun, TimeLimitDoesNotStretchAStoppedRun)
+{
+    for (unsigned servers : {1u, 4u}) {
+        const DesignConfig cfg =
+            rackConfig(Design::Rss, servers, TorPolicy::RoundRobin);
+        WorkloadSpec spec = goldenSpec();
+        const RunResult open = runExperiment(cfg, spec);
+        spec.timeLimit = 500 * kMs;
+        const RunResult bounded = runExperiment(cfg, spec);
+        EXPECT_EQ(bounded.completed, spec.requests) << servers;
+        EXPECT_GT(open.achievedMrps, 0.9 * spec.rateMrps) << servers;
+        EXPECT_EQ(bounded.achievedMrps, open.achievedMrps) << servers;
+        EXPECT_EQ(bounded.utilization, open.utilization) << servers;
+        EXPECT_EQ(bounded.fingerprint, open.fingerprint) << servers;
+    }
+}
+
 /** Different policies make different placement decisions: with load
  *  information (p2c) the completion stream diverges from blind
  *  rotation (rr) on the same seed. */
@@ -362,6 +385,70 @@ TEST(RackChaos, AllServersDeadShedsAtTor)
     ASSERT_EQ(res.perServer.size(), 2u);
     EXPECT_TRUE(res.perServer[0].dead);
     EXPECT_TRUE(res.perServer[1].dead);
+}
+
+namespace {
+
+/** A fault spec killing cores 0..15 of server @p s, the first at
+ *  @p first_ns and then one every @p step_ns. */
+std::string
+killAllCores(unsigned s, unsigned first_ns, unsigned step_ns)
+{
+    std::string ladder;
+    for (unsigned c = 0; c < 16; ++c) {
+        char item[48];
+        std::snprintf(item, sizeof item, "S%u.kill=%u@%u,", s, c,
+                      first_ns + c * step_ns);
+        ladder += item;
+    }
+    return ladder;
+}
+
+} // namespace
+
+/** A run that sheds stops once every request completed or was shed,
+ *  so its length, and the rate and utilization divided by it, do not
+ *  depend on the time limit: sheds at a server's admission (server 1
+ *  loses every core) and sheds at the ToR (both servers do). */
+TEST(RackChaos, ShedRunEndsOnceEveryRequestIsAccountedFor)
+{
+    struct Case
+    {
+        unsigned servers;
+        double rate;
+        std::uint64_t requests;
+        std::string faults;
+        bool torSheds;
+    };
+    const Case cases[] = {
+        {4, 16.0, 20000, killAllCores(1, 100000, 5000), false},
+        {2, 4.0, 6000,
+         killAllCores(0, 100000, 10000) + killAllCores(1, 100000, 10000),
+         true},
+    };
+    for (const Case &c : cases) {
+        const DesignConfig cfg = rackConfig(Design::Rss, c.servers);
+        WorkloadSpec spec = goldenSpec();
+        spec.requests = c.requests;
+        spec.rateMrps = c.rate;
+        spec.faults = sim::FaultSpec::parse(c.faults + "seed=10");
+        spec.timeLimit = 5 * kMs;
+        const RunResult shortLimit = runExperiment(cfg, spec);
+        spec.timeLimit = 10 * kMs;
+        const RunResult longLimit = runExperiment(cfg, spec);
+
+        const RunResult &r = shortLimit;
+        EXPECT_EQ(r.completed + r.requestsShed + r.torShed, spec.requests)
+            << c.servers;
+        EXPECT_GT(c.torSheds ? r.torShed : r.requestsShed, 0u)
+            << c.servers;
+        EXPECT_EQ(shortLimit.achievedMrps, longLimit.achievedMrps)
+            << c.servers;
+        EXPECT_EQ(shortLimit.utilization, longLimit.utilization)
+            << c.servers;
+        EXPECT_EQ(shortLimit.fingerprint, longLimit.fingerprint)
+            << c.servers;
+    }
 }
 
 /** Crash runs are bit-reproducible, federated or not. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Event queue, simulator and multi-region kernel tests: ordering,
- * tie-breaking, cancellation, run bounds.
+ * tie-breaking, cancellation, run bounds, per-region counters.
  */
 
 #include <gtest/gtest.h>
@@ -328,4 +328,138 @@ TEST(Kernel, RunUntilEndsAtTheBound)
     EXPECT_EQ(k.run(), 30u);
     EXPECT_TRUE(k.idle());
     EXPECT_EQ(order.back(), "r2@30");
+}
+
+TEST(Kernel, LowerRegionFiledLaterDispatchesFirst)
+{
+    // One queue holds every region: an event of a lower region filed
+    // at a tick where higher regions already filed runs ahead of them,
+    // inside the wheel window and beyond it.
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    std::vector<std::string> order;
+    const Tick far = 3 * EventQueue::kWheelSpan;
+    for (Tick t : {Tick{10}, far}) {
+        r2.at(t, logTo(order, "r2a"));
+        r1.at(t, logTo(order, "r1a"));
+        r2.at(t, logTo(order, "r2b"));
+        r0.at(t, logTo(order, "r0a"));
+        r1.at(t, logTo(order, "r1b"));
+    }
+    r1.at(5, [&] {
+        // Inside the window: region 0 files behind regions 1 and 2.
+        order.emplace_back("r1@5");
+        r2.at(10, logTo(order, "r2c"));
+        r0.at(10, logTo(order, "r0b"));
+    });
+
+    EXPECT_EQ(k.run(), far);
+    const std::vector<std::string> atTen{"r0a", "r0b", "r1a", "r1b",
+                                         "r2a", "r2b", "r2c"};
+    const std::vector<std::string> atFar{"r0a", "r1a", "r1b", "r2a",
+                                         "r2b"};
+    std::vector<std::string> want{"r1@5"};
+    want.insert(want.end(), atTen.begin(), atTen.end());
+    want.insert(want.end(), atFar.begin(), atFar.end());
+    EXPECT_EQ(order, want);
+}
+
+TEST(Kernel, CrossAndReservedSeqsInsideTheWindowKeepTheirPlace)
+{
+    // A cross-region event and a reserved-seq event, both filed well
+    // inside the wheel window behind later seqs of their tick, still
+    // take their canonical places: the reserved one where its
+    // reservation was taken, the cross one after every local event of
+    // its region, both ahead of the higher region.
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    std::vector<std::string> order;
+    r1.at(20, logTo(order, "r1 first"));
+    const std::uint64_t seq = r1.reserveSeq();
+    r1.at(20, logTo(order, "r1 last"));
+    r2.at(20, logTo(order, "r2"));
+    r0.at(20, logTo(order, "r0"));
+    r2.at(5, [&] {
+        order.emplace_back("r2@5");
+        k.crossSchedule(2, 1, 20, logTo(order, "r1 cross"));
+        r1.atSeq(20, seq, logTo(order, "r1 reserved"));
+    });
+
+    EXPECT_EQ(k.run(), 20u);
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "r2@5", "r0", "r1 first", "r1 reserved",
+                         "r1 last", "r1 cross", "r2"}));
+}
+
+TEST(Kernel, ReachedFollowsTheRegionOrderWithinATick)
+{
+    // A reserved position of region 1 at tick 10 is passed once
+    // region 0's events at 10 have run and region 2's have not: it is
+    // reached inside region 2's event at 10, not inside region 0's.
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    const std::uint64_t mid = r1.reserveSeq();
+    int checks = 0;
+    r0.at(10, [&] {
+        ++checks;
+        EXPECT_FALSE(r1.reached(10, mid)) << "region 1 runs after 0";
+    });
+    r2.at(10, [&] {
+        ++checks;
+        EXPECT_TRUE(r1.reached(10, mid)) << "region 1 ran before 2";
+        EXPECT_FALSE(r1.reached(11, mid)) << "later tick";
+    });
+    const std::uint64_t late = r2.reserveSeq();
+    r2.at(10, [&] {
+        ++checks;
+        EXPECT_TRUE(r2.reached(10, late)) << "lower seq, same region";
+    });
+    EXPECT_EQ(k.run(10), 10u);
+    EXPECT_EQ(checks, 3);
+    EXPECT_FALSE(r2.reached(10, r2.reserveSeq()))
+        << "the clock sits on the last event";
+}
+
+TEST(Kernel, RegionCountersCountOnlyTheirOwnEvents)
+{
+    Kernel k;
+    Simulator &r0 = k.addRegion();
+    Simulator &r1 = k.addRegion();
+    Simulator &r2 = k.addRegion();
+    r0.at(1, [&] { k.crossSchedule(0, 2, 5, [] {}); });
+    r0.at(2, [] {});
+    r0.at(3 * EventQueue::kWheelSpan, [] {});
+    r1.at(2, [] {});
+    const EventId dropped = r1.at(4, [] {});
+    EXPECT_EQ(r0.pendingEvents(), 3u);
+    EXPECT_EQ(r1.pendingEvents(), 2u);
+    EXPECT_TRUE(r2.idle());
+
+    EXPECT_TRUE(r1.cancel(dropped));
+    EXPECT_FALSE(r1.cancel(dropped));
+    EXPECT_EQ(r1.pendingEvents(), 1u);
+
+    EXPECT_EQ(k.run(2), 2u);
+    EXPECT_EQ(r0.eventsExecuted(), 2u);
+    EXPECT_EQ(r0.pendingEvents(), 1u);
+    EXPECT_EQ(r1.eventsExecuted(), 1u);
+    EXPECT_TRUE(r1.idle());
+    EXPECT_EQ(r2.eventsExecuted(), 0u);
+    EXPECT_EQ(r2.pendingEvents(), 1u) << "the cross-region event";
+    EXPECT_FALSE(k.idle());
+
+    k.run();
+    EXPECT_EQ(r0.eventsExecuted(), 3u);
+    EXPECT_EQ(r1.eventsExecuted(), 1u);
+    EXPECT_EQ(r2.eventsExecuted(), 1u);
+    EXPECT_EQ(k.eventsExecuted(), 5u);
+    for (unsigned r = 0; r < k.numRegions(); ++r)
+        EXPECT_TRUE(k.region(r).idle()) << "region " << r;
+    EXPECT_TRUE(k.idle());
 }
