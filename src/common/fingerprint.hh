@@ -17,6 +17,9 @@
 #ifndef ALTOC_COMMON_FINGERPRINT_HH
 #define ALTOC_COMMON_FINGERPRINT_HH
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace altoc {
@@ -25,14 +28,23 @@ namespace altoc {
 class Fnv1a
 {
   public:
-    /** Mix one 64-bit word (order sensitive). */
+    /** Mix one 64-bit word (order sensitive): its eight bytes, lowest
+     *  first, each xored in and multiplied by the prime. */
     void
     mix(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
+        // A zero byte xors in nothing, so the zero bytes above v's
+        // highest non-zero one only multiply by the prime: fold the n
+        // bytes up to that one, then the rest in one multiply by
+        // P^(8 - n). The digest is the eight-byte loop's, bit for bit;
+        // a completion's small fields take 13 dependent multiplies
+        // instead of 32.
+        const int n = (std::bit_width(v) + 7) / 8;
+        for (int i = 0; i < n; ++i) {
             h_ ^= (v >> (8 * i)) & 0xffu;
             h_ *= kPrime;
         }
+        h_ *= kPrimePow[static_cast<std::size_t>(8 - n)];
     }
 
     std::uint64_t digest() const { return h_; }
@@ -40,6 +52,14 @@ class Fnv1a
   private:
     static constexpr std::uint64_t kOffset = 14695981039346656037ull; // lint:allow raw-tick-literal: FNV-1a offset basis, not a duration
     static constexpr std::uint64_t kPrime = 1099511628211ull; // lint:allow raw-tick-literal: FNV-1a prime, not a duration
+    /** kPrimePow[k] = kPrime^k mod 2^64, for k = 0..8. */
+    static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+        std::array<std::uint64_t, 9> p{};
+        p[0] = 1;
+        for (std::size_t k = 1; k < p.size(); ++k)
+            p[k] = p[k - 1] * kPrime;
+        return p;
+    }();
 
     std::uint64_t h_ = kOffset;
 };

@@ -36,6 +36,9 @@
  *  - never allocates: construction placement-news into the inline
  *    buffer, moves relocate buffer-to-buffer, copies clone
  *    buffer-to-buffer;
+ *  - operator() runs the callable in place and keeps it; consume()
+ *    runs it once off the buffer and leaves the object empty, in one
+ *    indirect call;
  *  - the constraint (not a static_assert) keeps the size check
  *    SFINAE-visible, so tests can assert
  *    !std::is_constructible_v<InlineFn, TooBigLambda>.
@@ -191,10 +194,29 @@ class InlineFunction<R(Args...), Cap, Copyable>
         return ops_->invoke(buf_, std::forward<Args>(args)...);
     }
 
+    /**
+     * Invoke the stored callable once and leave this object empty, in
+     * one indirect call: the callable moves to the stack, its inline
+     * copy is destroyed and this object reads empty before the call
+     * begins, and the stack copy dies when the call returns. So the
+     * callable may reuse, refill or relocate this object while it runs
+     * (the event kernel dispatches every event this way; a slot's
+     * callback may schedule into its own slot or grow the pool).
+     * Undefined when empty.
+     */
+    R
+    consume(Args... args)
+    {
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        return ops->consume(buf_, std::forward<Args>(args)...);
+    }
+
   private:
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
+        R (*consume)(void *, Args &&...);
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
         void (*copy)(void *dst, const void *src);
@@ -205,6 +227,16 @@ class InlineFunction<R(Args...), Cap, Copyable>
     invokeImpl(void *p, Args &&...args)
     {
         return (*static_cast<Fn *>(p))(std::forward<Args>(args)...);
+    }
+
+    template <typename Fn>
+    static R
+    consumeImpl(void *p, Args &&...args)
+    {
+        Fn *from = static_cast<Fn *>(p);
+        Fn fn(std::move(*from));
+        from->~Fn();
+        return fn(std::forward<Args>(args)...);
     }
 
     template <typename Fn>
@@ -234,7 +266,8 @@ class InlineFunction<R(Args...), Cap, Copyable>
     // move-only callables stay storable in the default one.
     template <typename Fn>
     static constexpr Ops kOps{
-        &invokeImpl<Fn>, &relocateImpl<Fn>, &destroyImpl<Fn>,
+        &invokeImpl<Fn>, &consumeImpl<Fn>, &relocateImpl<Fn>,
+        &destroyImpl<Fn>,
         []() -> void (*)(void *, const void *) {
             if constexpr (Copyable)
                 return &copyImpl<Fn>;

@@ -130,7 +130,13 @@ struct WireRpc
 class RpcPool
 {
   public:
-    explicit RpcPool(std::size_t slab_size = 4096)
+    /** Descriptors per slab unless the constructor says otherwise:
+     *  256 (20 KB), which covers a server's usual in-flight peak in
+     *  one slab or a few, so a server's first delivery does not build
+     *  a large slab inside a timed run. */
+    static constexpr std::size_t kDefaultSlab = 256;
+
+    explicit RpcPool(std::size_t slab_size = kDefaultSlab)
         : slabSize_(slab_size)
     {}
 

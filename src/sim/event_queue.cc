@@ -27,9 +27,16 @@
  * immediately but leaves the heap key in place (removing an arbitrary
  * key would be O(n) or need per-slot heap-index bookkeeping on every
  * sift). Keys whose slot generation no longer matches are skipped
- * when they surface; compact() sweeps them wholesale as soon as they
- * exceed half the heap, so the heap never holds more than 2x size() +
- * 1 entries no matter how adversarial the cancellation pattern.
+ * when they surface -- a check skipDead() makes only while it counts
+ * dead keys, so a run that cancels nothing in the heap never loads a
+ * slot for it; compact() sweeps them wholesale as soon as they exceed
+ * half the heap, so the heap never holds more than 2x size() + 1
+ * entries no matter how adversarial the cancellation pattern.
+ *
+ * Dispatch. dispatchFront() pops the front from its residency,
+ * retires its slot (free, new generation) and then consumes the
+ * closure: InlineFunction::consume() moves it to the stack, empties
+ * the slot and runs it, one indirect call per event.
  */
 
 #include "sim/event_queue.hh"
@@ -56,10 +63,9 @@ EventQueue::allocSlotSlow()
 }
 
 void
-EventQueue::freeSlot(std::uint32_t slot)
+EventQueue::retireSlot(std::uint32_t slot)
 {
     Slot &s = slots_[slot];
-    s.cb.reset();
     s.live = false;
     ++s.gen; // stale handles to this slot die here
     s.next = freeHead_;
@@ -201,12 +207,13 @@ EventQueue::cancel(EventId id)
         return false;
     frontValid_ = false;
     --liveCount_;
+    s.cb.reset();
     if (s.inWheel) {
         wheelUnlink(slot);
-        freeSlot(slot);
+        retireSlot(slot);
         return true;
     }
-    freeSlot(slot);
+    retireSlot(slot);
     ++deadInHeap_;
     if (deadInHeap_ * 2 > heap_.size())
         compact();
@@ -266,6 +273,10 @@ EventQueue::popTop()
 void
 EventQueue::skipDead()
 {
+    // Only a cancel leaves a dead key, and compact() sweeps them all:
+    // with none counted, a pristine run's heap top costs no slot load.
+    if (deadInHeap_ == 0)
+        return;
     while (!heap_.empty() && !keyAlive(heap_.front())) {
         popTop();
         --deadInHeap_;
@@ -347,19 +358,19 @@ EventQueue::dispatchFront(Tick &now_out)
         cursor_ = f.when;
     lastWhen_ = f.when;
     lastSeq_ = f.seq;
-    // Move the closure out before freeing: the callback may schedule,
-    // growing slots_ and invalidating any reference into the pool. The
-    // slot is released first so cancel(own-id) inside the callback
-    // correctly reports "already fired". (In-place dispatch from a
-    // chunked stable pool was tried and measured slower: the chunk
-    // indirection on every slot touch costs more than the one
-    // relocate of a warm <=48-byte closure saves.)
-    Callback cb = std::move(slots_[f.slot].cb);
-    freeSlot(f.slot);
+    // Retire the slot first, so cancel(own id) inside the callback
+    // reports "already fired"; then consume() moves the closure to the
+    // stack, empties the slot and runs it in one indirect call. The
+    // closure is off the slot before it runs, so the callback may
+    // schedule into this very slot or grow slots_. (In-place dispatch
+    // from a chunked stable pool was tried and measured slower: the
+    // chunk indirection on every slot touch costs more than the one
+    // move of a warm <=48-byte closure saves.)
+    retireSlot(f.slot);
     --liveCount_;
     ++executed_[f.seq >> kRegionShift];
     now_out = f.when;
-    cb();
+    slots_[f.slot].cb.consume();
     return f.when;
 }
 

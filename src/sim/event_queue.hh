@@ -10,21 +10,25 @@
  * zero steady-state allocation:
  *
  *  - callbacks are fixed-capacity InlineFn objects (no std::function,
- *    no heap for captures) parked out-of-line in a slot pool;
+ *    no heap for captures) parked out-of-line in a slot pool, and a
+ *    dispatch runs one in a single indirect call
+ *    (InlineFunction::consume), off its slot;
  *  - liveness is a generation-counted slot pool: EventId packs
  *    (generation, slot), and alloc/cancel are O(1) pointer bumps on a
  *    free list -- no hashing, no unordered_set;
  *  - near-future events -- almost all of them at nanosecond-scale
- *    scheduling -- sit in a timing wheel: one seq-sorted bucket per
- *    tick over the kWheelSpan ticks from the last dispatched one,
- *    threaded through the slot pool and found by an occupancy bitmap,
- *    so they schedule, cancel and dispatch in O(1);
+ *    scheduling, plus the rack link's 1 us deliveries and the 2 us
+ *    ACK deadlines -- sit in a timing wheel: one seq-sorted bucket
+ *    per tick over the kWheelSpan (2,048) ticks from the last
+ *    dispatched one, threaded through the slot pool and found by an
+ *    occupancy bitmap, so they schedule, cancel and dispatch in O(1);
  *  - events due kWheelSpan or more ticks ahead (or before the last
  *    dispatched tick) go to an overflow 4-ary min-heap over (when,
  *    seq, slot, gen) keys. Its cancellation is lazy (the key stays
- *    until it surfaces), but it compacts eagerly once dead keys
- *    exceed half the heap, so mass-cancellation workloads
- *    (timeout-heavy fault runs) cannot bloat it.
+ *    until it surfaces, and a heap with no dead key counted skips the
+ *    liveness check), but it compacts eagerly once dead keys exceed
+ *    half the heap, so mass-cancellation workloads (timeout-heavy
+ *    fault runs) cannot bloat it.
  *
  * Dispatch takes the smaller of the wheel front and the heap top by
  * (when, seq), so residency never changes the order: see the
@@ -116,11 +120,16 @@ class EventQueue
   public:
     using Callback = InlineFn;
 
-    /** Width of the timing wheel in ticks (1 us of simulated time):
-     *  the paper's 3 ns hops, 200 ns runtime periods and sub-us
-     *  service put almost every event less than this far ahead of the
-     *  one that schedules it. A power of two. */
-    static constexpr Tick kWheelSpan = 1024;
+    /** Width of the timing wheel in ticks (2 us of simulated time).
+     *  The paper's 3 ns hops, 200 ns runtime periods and sub-us
+     *  service put almost every event less than 1 us ahead of the one
+     *  that schedules it; 2 us also holds the default rack link's
+     *  deliveries (1 us of latency plus 24 ns to serialize 300 B at
+     *  100 Gb/s: 1,024 ticks) and the hardened protocol's 2 us ACK
+     *  deadlines (ackTimeout), so only long services, probation
+     *  timers and fault windows reach the heap. A power of two: 32
+     *  bitmap words, all that the 32-bit summary word covers. */
+    static constexpr Tick kWheelSpan = 2048;
 
     EventQueue();
 
@@ -396,7 +405,9 @@ class EventQueue
     }
 
     std::uint32_t allocSlotSlow();
-    void freeSlot(std::uint32_t slot);
+    /** Put @p slot on the free list under a new generation. Its
+     *  closure is the caller's to destroy (cancel) or run (dispatch). */
+    void retireSlot(std::uint32_t slot);
 
     /** Insertion half of schedule() and scheduleAtSeq(): files the
      *  event in the wheel or the heap, updates the front cache. */

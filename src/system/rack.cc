@@ -111,8 +111,8 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
                 [this, s](unsigned) { noteCoreDeath(s); });
         }
         if (traceCfg_.enabled) {
-            torTracer_ =
-                std::make_unique<trace::Tracer>(1, traceCfg_.ringSlots);
+            torTracer_ = std::make_unique<trace::Tracer>(
+                kTorRings, traceCfg_.ringSlots);
         }
     }
 
@@ -202,7 +202,8 @@ Rack::torDeliver(unsigned s, const net::WireRpc &w)
     ++torDispatched_;
     ALTOC_TRACE_HOOK(
         torTracer_.get(),
-        record(torSim_->now(), 0, trace::TraceKind::TorDispatch,
+        record(torSim_->now(), kTorRequestRing,
+               trace::TraceKind::TorDispatch,
                trace::tracePack(
                    static_cast<std::uint32_t>(w.id) & 0xffffu, s),
                static_cast<std::uint8_t>(rack_.policy)));
@@ -220,7 +221,7 @@ Rack::shedAtTor([[maybe_unused]] std::uint64_t rpc_id)
 {
     ++torShed_;
     ALTOC_TRACE_HOOK(torTracer_.get(),
-                     record(torSim_->now(), 0,
+                     record(torSim_->now(), kTorRequestRing,
                             trace::TraceKind::AdmissionShed,
                             static_cast<std::uint32_t>(rpc_id)));
     if (++sharedDone_ >= stopAfter_)
@@ -235,7 +236,7 @@ Rack::noteCoreDeath(unsigned s)
     dead_[s] = true;
     --liveServers_;
     ALTOC_TRACE_HOOK(torTracer_.get(),
-                     record(torSim_->now(), 0,
+                     record(torSim_->now(), kTorControlRing,
                             trace::TraceKind::ServerDead, s));
 }
 

@@ -150,8 +150,8 @@ class Rack
     bool serverDead(unsigned s) const { return dead_[s]; }
     unsigned liveServers() const { return liveServers_; }
 
-    /** The ToR's own single-ring tracer (null unless tracing and
-     *  servers > 1). */
+    /** The ToR's own tracer (null unless tracing and servers > 1):
+     *  per-request records on one ring, ServerDead on another. */
     trace::Tracer *torTracer() const { return torTracer_.get(); }
 
     // ----- rack aggregates -------------------------------------------
@@ -234,6 +234,14 @@ class Rack
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<net::RackLink> links_;
     std::vector<bool> dead_;
+    /** The ToR tracer's rings. Per-request records (TorDispatch,
+     *  AdmissionShed) fill one; control records (ServerDead) have the
+     *  other to themselves, so however many requests follow a death,
+     *  they cannot evict it, and altoc-trace's no-dispatch-to-a-dead-
+     *  server rule keeps what it checks against. */
+    static constexpr unsigned kTorRequestRing = 0;
+    static constexpr unsigned kTorControlRing = 1;
+    static constexpr unsigned kTorRings = 2;
     std::unique_ptr<trace::Tracer> torTracer_;
     unsigned liveServers_ = 0;
     unsigned rrNext_ = 0;

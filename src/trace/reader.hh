@@ -61,7 +61,7 @@ struct TraceFileImage
     std::uint64_t totalDropped() const;
 
     /** Server owning flat ring @p ring (0 for single-server files;
-     *  the ToR ring maps past the last server). */
+     *  the ToR's rings map past the last server). */
     std::uint32_t serverOfRing(std::uint32_t ring) const
     {
         return coresPerServer == 0 ? 0 : ring / coresPerServer;

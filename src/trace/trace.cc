@@ -234,7 +234,8 @@ writeRackTraceFile(const std::string &path,
     hdr.version = kTraceVersion;
     hdr.recordSize = sizeof(TraceRecord);
     hdr.ringCount = static_cast<std::uint32_t>(
-        servers.size() * coresPerServer + (tor != nullptr ? 1 : 0));
+        servers.size() * coresPerServer +
+        (tor != nullptr ? tor->numRings() : 0));
     hdr.coresPerServer = coresPerServer;
     if (!f.put(&hdr, sizeof(hdr)))
         return false;
@@ -248,11 +249,15 @@ writeRackTraceFile(const std::string &path,
         }
         base += coresPerServer;
     }
-    // The ToR ring's records (TorDispatch, ServerDead, AdmissionShed)
+    // The ToR rings' records (TorDispatch, ServerDead, AdmissionShed)
     // carry server indices or rpc ids, never local core ids -- no
     // peer rewrite.
-    if (tor != nullptr && !putRing(f, *tor, 0, flat, 0))
-        return false;
+    if (tor != nullptr) {
+        for (unsigned r = 0; r < tor->numRings(); ++r, ++flat) {
+            if (!putRing(f, *tor, r, flat, 0))
+                return false;
+        }
+    }
     return std::fflush(f.fp) == 0;
 }
 

@@ -88,11 +88,11 @@ enum class TraceKind : std::uint8_t
     DescriptorRescue,   //!< orphans re-homed      (core=rescuer,
                         //!<                        arg=(count, source))
     AdmissionShed,      //!< arrival shed          (core=0, arg=rpc id)
-    TorDispatch,        //!< ToR steered a request (core=ToR ring,
-                        //!<                        arg=(rpc id low 16,
-                        //!<                        server), aux=policy)
-    ServerDead,         //!< server lost all workers (core=ToR ring,
-                        //!<                        arg=server id)
+    TorDispatch,        //!< ToR steered a request (core=ToR request
+                        //!<                        ring, arg=(rpc id low
+                        //!<                        16, server), aux=policy)
+    ServerDead,         //!< server lost all workers (core=ToR control
+                        //!<                        ring, arg=server id)
 };
 
 /** One past the largest valid kind (summary-table size). */
@@ -296,9 +296,9 @@ class Tracer
 
 /**
  * Serialize a rack's tracers into one federated trace file: server
- * s's ring c becomes flat ring s*coresPerServer + c and @p tor (the
- * ToR dispatcher's single-ring tracer, may be null) becomes the final
- * ring. The header's coresPerServer field carries @p coresPerServer
+ * s's ring c becomes flat ring s*coresPerServer + c and the rings of
+ * @p tor (the ToR dispatcher's tracer, may be null) follow them in
+ * order. The header's coresPerServer field carries @p coresPerServer
  * so decoders can invert the flattening; every per-server tracer must
  * have exactly @p coresPerServer rings. Same determinism contract as
  * Tracer::writeFile. Returns false on I/O failure.

@@ -15,7 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bench/bench_util.hh"
+#include "common/fingerprint.hh"
+#include "common/rng.hh"
 #include "system/experiment.hh"
 #include "workload/distributions.hh"
 
@@ -227,3 +232,57 @@ TEST(TraceDeterminism, TracingLeavesCompletionStreamUntouched)
 TEST(TraceDeterminism, DISABLED_TraceHooksCompiledOut) {}
 
 #endif // ALTOC_TRACE_ENABLED
+
+// ---------------------------------------------------------------------
+// The digest's fold
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over all eight bytes of every word, lowest byte first: the
+ *  definition Fnv1a::mix must reproduce bit for bit. */
+std::uint64_t
+byteWiseDigest(const std::vector<std::uint64_t> &words)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const std::uint64_t v : words) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+std::uint64_t
+fnvDigest(const std::vector<std::uint64_t> &words)
+{
+    Fnv1a h;
+    for (const std::uint64_t v : words)
+        h.mix(v);
+    return h.digest();
+}
+
+} // namespace
+
+TEST(DigestFold, SkippedZeroBytesMatchTheByteWiseLoop)
+{
+    // Every width: 2^k - 1 and 2^k for k = 0..63 (0 and 1 among
+    // them), and ~0.
+    std::vector<std::uint64_t> edges{~std::uint64_t{0}};
+    for (unsigned k = 0; k < 64; ++k) {
+        edges.push_back((std::uint64_t{1} << k) - 1);
+        edges.push_back(std::uint64_t{1} << k);
+    }
+    for (const std::uint64_t v : edges) {
+        EXPECT_EQ(fnvDigest({v}), byteWiseDigest({v})) << v;
+        EXPECT_EQ(fnvDigest({0x5eed, v, 0}), byteWiseDigest({0x5eed, v, 0}))
+            << v;
+    }
+    // A random stream of random widths.
+    Rng rng(2024);
+    std::vector<std::uint64_t> stream;
+    for (int i = 0; i < 4096; ++i)
+        stream.push_back(rng.next() >> rng.below(64));
+    EXPECT_EQ(fnvDigest(stream), byteWiseDigest(stream));
+}

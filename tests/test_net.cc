@@ -59,6 +59,26 @@ TEST(RpcPool, PointersStableAcrossGrowth)
     EXPECT_EQ(pool.outstanding(), 100u);
 }
 
+TEST(RpcPool, GrowsOneDefaultSlabAtATime)
+{
+    RpcPool pool;
+    EXPECT_EQ(pool.capacity(), 0u) << "a pool is built empty";
+    std::vector<Rpc *> held;
+    for (std::size_t i = 0; i < RpcPool::kDefaultSlab; ++i)
+        held.push_back(pool.alloc());
+    EXPECT_EQ(pool.capacity(), RpcPool::kDefaultSlab);
+    // One past the slab grows exactly one more.
+    held.push_back(pool.alloc());
+    EXPECT_EQ(pool.capacity(), 2 * RpcPool::kDefaultSlab);
+    // Released descriptors are reused before the pool grows again.
+    for (Rpc *r : held)
+        pool.release(r);
+    for (std::size_t i = 0; i < 2 * RpcPool::kDefaultSlab; ++i)
+        pool.alloc();
+    EXPECT_EQ(pool.capacity(), 2 * RpcPool::kDefaultSlab);
+    EXPECT_EQ(pool.outstanding(), 2 * RpcPool::kDefaultSlab);
+}
+
 TEST(NetRx, FifoOrderAndTailOps)
 {
     NetRxQueue q;

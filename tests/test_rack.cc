@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -519,7 +520,8 @@ TEST(RackTrace, FederatedFileDecodesAndValidates)
     ASSERT_EQ(trace::readTraceFile(path, image),
               trace::TraceReadStatus::Ok);
     EXPECT_EQ(image.coresPerServer, 16u);
-    ASSERT_EQ(image.rings.size(), 4u * 16u + 1u);
+    // 16 rings per server, then the ToR's request and control rings.
+    ASSERT_EQ(image.rings.size(), 4u * 16u + 2u);
     EXPECT_EQ(image.serverOfRing(0), 0u);
     EXPECT_EQ(image.serverOfRing(17), 1u);
     EXPECT_EQ(image.serverOfRing(63), 3u);
@@ -576,6 +578,68 @@ TEST(RackTrace, ServerDeathIsRecordedAndCausallyClean)
     std::vector<std::string> errors;
     EXPECT_TRUE(trace::validateTimeline(timeline, errors))
         << (errors.empty() ? "" : errors.front());
+    std::remove(path.c_str());
+}
+
+/** ServerDead has a ToR ring of its own: a rack that dispatches more
+ *  requests after a death than a ring holds still decodes the death,
+ *  so the no-dispatch-to-a-dead-server rule still has something to
+ *  check, and a dispatch to the corpse planted after it fails. */
+TEST(RackTrace, ServerDeathOutlivesAFullDispatchRing)
+{
+    const std::string path = tmpPath("dead_server_full_ring.trace");
+    const DesignConfig cfg = rackConfig(Design::Rss, 4);
+    WorkloadSpec spec = goldenSpec();
+    spec.requests = 20000;
+    spec.rateMrps = 16.0;
+    spec.faults =
+        sim::FaultSpec::parse(killAllCores(1, 100000, 5000) + "seed=10");
+    spec.tracing.enabled = true; // the default 4,096 slots per ring
+    spec.tracing.file = path;
+
+    const RunResult res = runExperiment(cfg, spec);
+    ASSERT_EQ(res.perServer.size(), 4u);
+    ASSERT_TRUE(res.perServer[1].dead);
+
+    trace::TraceFileImage image;
+    ASSERT_EQ(trace::readTraceFile(path, image),
+              trace::TraceReadStatus::Ok);
+    ASSERT_EQ(image.rings.size(), 4u * 16u + 2u);
+    std::vector<trace::TraceRecord> timeline = trace::mergeTimeline(image);
+    const auto isDeath = [](const trace::TraceRecord &r) {
+        return r.kind == static_cast<std::uint8_t>(
+                             trace::TraceKind::ServerDead);
+    };
+    const auto death =
+        std::find_if(timeline.begin(), timeline.end(), isDeath);
+    ASSERT_NE(death, timeline.end()) << "the death was evicted";
+    EXPECT_EQ(death->arg, 1u);
+    EXPECT_EQ(std::count_if(timeline.begin(), timeline.end(), isDeath), 1);
+
+    // More requests were dispatched after the death than the request
+    // ring holds: every one it kept is younger than the death, and it
+    // dropped older ones. In one shared ring they would have evicted
+    // the death.
+    const trace::TraceRingImage &requests = image.rings[4 * 16];
+    ASSERT_EQ(requests.records.size(), spec.tracing.ringSlots);
+    EXPECT_GT(requests.dropped, 0u);
+    EXPECT_GT(requests.records.front().tick, death->tick);
+
+    std::vector<std::string> errors;
+    EXPECT_TRUE(trace::validateTimeline(timeline, errors))
+        << (errors.empty() ? "" : errors.front());
+
+    // A dispatch to server 1 planted after its death is a violation.
+    trace::TraceRecord planted = *death;
+    planted.kind = static_cast<std::uint8_t>(trace::TraceKind::TorDispatch);
+    planted.arg = trace::tracePack(0, 1);
+    timeline.insert(death + 1, planted);
+    errors.clear();
+    EXPECT_FALSE(trace::validateTimeline(timeline, errors));
+    ASSERT_FALSE(errors.empty());
+    EXPECT_NE(errors.front().find("TorDispatch to server 1"),
+              std::string::npos)
+        << errors.front();
     std::remove(path.c_str());
 }
 
