@@ -26,7 +26,7 @@ constexpr std::size_t kQuarantineMask = std::size_t{1} << 32;
 } // namespace
 
 GroupScheduler::GroupScheduler(const Config &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), batch_(migrateBatch(cfg.params))
 {
     altoc_assert(cfg.numGroups >= 1, "need at least one group");
     altoc_assert(cfg.workersPerGroup >= 1,
@@ -374,7 +374,7 @@ GroupScheduler::runtimeTick(unsigned g)
     // Injected manager stall: the runtime loop simply does not run
     // until the stall lifts (peers see the silence as timeouts and
     // NACKs and route around this group).
-    if (ctx_.faults) {
+    if (ctx_.faults != nullptr && ctx_.faults->stallsManagers()) {
         const Tick until =
             ctx_.faults->managerStalledUntil(g, ctx_.sim->now());
         if (until > ctx_.sim->now()) {
@@ -396,53 +396,43 @@ GroupScheduler::runtimeTick(unsigned g)
     msg_->broadcastUpdate(g, grp.qView[g]);
     ALTOC_AUDIT_HOOK(audit_, onQueueSample(g, grp.qView[g]));
 
-    // Line 3: recompute the threshold from the current load. A group
-    // that lost workers to fail-stops solves the Erlang-C model for
-    // its shrunk worker set (modelFor), so the threshold reflects the
-    // capacity it actually has left.
-    const ThresholdModel &model = modelFor(grp);
-    const double load =
-        cfg_.params.loadOverride >= 0.0
-            ? cfg_.params.loadOverride * model.k()
-            : grp.estimator->offeredLoad(ctx_.sim->now());
-    unsigned threshold;
-    switch (cfg_.params.thresholdMode) {
-      case ThresholdMode::UpperBound:
-        // k*L + 1: every migration is justified, many violators are
-        // missed (maximal precision, Sec. IV-A).
-        threshold = model.upperBound();
-        break;
-      case ThresholdMode::LowerBound:
-        // First-violation queue length from offline profiling:
-        // saves every violator at the cost of extra traffic.
-        threshold = cfg_.params.lowerBoundThreshold > 0
-                        ? cfg_.params.lowerBoundThreshold
-                        : model.threshold(load);
-        break;
-      case ThresholdMode::Model:
-      default:
-        threshold = model.threshold(load);
-        break;
+    // A queue shorter than one batch sends no MIGRATE this period,
+    // whatever the threshold: the line-8 guard admits none
+    // (decideMigrationsInto). Such a quiet period still broadcasts
+    // and classifies, but solves no threshold unless a tracer records
+    // every period's.
+    const bool can_send = grp.qView[g] >= batch_;
+    if (!can_send)
+        ++periodsBelowBatch_;
+
+    // Line 3: recompute the threshold from the current load.
+    unsigned threshold = 0;
+    if (can_send || (ALTOC_TRACE_ENABLED && ctx_.tracer != nullptr)) {
+        threshold = periodThreshold(grp);
+        ALTOC_TRACE_HOOK(ctx_.tracer,
+                         record(ctx_.sim->now(), g,
+                                trace::TraceKind::ThresholdRecompute,
+                                threshold));
     }
-    lastThreshold_ = threshold;
-    ALTOC_TRACE_HOOK(ctx_.tracer,
-                     record(ctx_.sim->now(), g,
-                            trace::TraceKind::ThresholdRecompute,
-                            threshold));
 
     // Lines 4-13: decide and execute migrations on the peers' latest
     // UPDATEs. Under hardening, quarantined peers are masked to an
     // effectively infinite queue so neither the decision loop nor the
-    // auditor's replay of it can route work toward them.
+    // auditor's replay of it can route work toward them. Masking
+    // changes the pattern, so it precedes classification; the view is
+    // copied only when some peer is masked.
     msg_->readUpdates(g, grp.qView);
     const std::vector<std::size_t> *view = &grp.qView;
     if (hardened()) {
-        maskedScratch_.assign(grp.qView.begin(), grp.qView.end());
         for (unsigned d = 0; d < cfg_.numGroups; ++d) {
-            if (d != g && peerMasked(grp, d))
-                maskedScratch_[d] = kQuarantineMask;
+            if (d == g || !peerMasked(grp, d))
+                continue;
+            if (view != &maskedScratch_) {
+                maskedScratch_.assign(grp.qView.begin(), grp.qView.end());
+                view = &maskedScratch_;
+            }
+            maskedScratch_[d] = kQuarantineMask;
         }
-        view = &maskedScratch_;
     }
     RuntimeDecision &dec = decisionScratch_;
     decideMigrationsInto(*view, g, threshold, cfg_.params,
@@ -500,6 +490,34 @@ GroupScheduler::runtimeTick(unsigned g)
     // into a slower control loop (Fig. 14's ISA-vs-MSR gap).
     ctx_.sim->after(std::max<Tick>(cfg_.params.period, 2 * cost),
                     [this, g] { runtimeTick(g); });
+}
+
+unsigned
+GroupScheduler::periodThreshold(const Group &grp) const
+{
+    // A group that lost workers to fail-stops solves the Erlang-C
+    // model for its shrunk worker set (modelFor), so the threshold
+    // reflects the capacity it actually has left.
+    const ThresholdModel &model = modelFor(grp);
+    const double load =
+        cfg_.params.loadOverride >= 0.0
+            ? cfg_.params.loadOverride * model.k()
+            : grp.estimator->offeredLoad(ctx_.sim->now());
+    switch (cfg_.params.thresholdMode) {
+      case ThresholdMode::UpperBound:
+        // k*L + 1: every migration is justified, many violators are
+        // missed (maximal precision, Sec. IV-A).
+        return model.upperBound();
+      case ThresholdMode::LowerBound:
+        // First-violation queue length from offline profiling:
+        // saves every violator at the cost of extra traffic.
+        return cfg_.params.lowerBoundThreshold > 0
+                   ? cfg_.params.lowerBoundThreshold
+                   : model.threshold(load);
+      case ThresholdMode::Model:
+      default:
+        return model.threshold(load);
+    }
 }
 
 const std::vector<net::Rpc *> &

@@ -136,6 +136,11 @@ class GroupScheduler : public sched::Scheduler
     /** Runtime invocations across all managers. */
     std::uint64_t runtimeTicks() const { return runtimeTicks_; }
 
+    /** Runtime invocations whose local queue was shorter than one
+     *  MIGRATE batch (migrateBatch): they solved no threshold and
+     *  decided nothing past classification. */
+    std::uint64_t periodsBelowBatch() const { return periodsBelowBatch_; }
+
     /** Pattern occurrence counts, indexed by core::Pattern. */
     const std::array<std::uint64_t, 4> &patternCounts() const
     {
@@ -144,9 +149,6 @@ class GroupScheduler : public sched::Scheduler
 
     /** The threshold model in use (for introspection / benches). */
     const ThresholdModel &model() const { return *model_; }
-
-    /** Most recent threshold computed by any manager. */
-    unsigned lastThreshold() const { return lastThreshold_; }
 
     const Config &config() const { return cfg_; }
 
@@ -288,6 +290,9 @@ class GroupScheduler : public sched::Scheduler
     /** Periodic Algorithm 1 invocation for manager @p g. */
     void runtimeTick(unsigned g);
 
+    /** Line 3: group @p grp's migration threshold T right now. */
+    unsigned periodThreshold(const Group &grp) const;
+
     /** Collect up to @p count migratable requests from the RX tail
      *  into batchScratch_; the returned reference is valid until the
      *  next collectFromTail() call. */
@@ -346,6 +351,8 @@ class GroupScheduler : public sched::Scheduler
     }
 
     Config cfg_;
+    /** S, the descriptors one MIGRATE carries (migrateBatch). */
+    unsigned batch_;
     /** pickWorker may use Group::idleMask (see there). */
     bool idleMaskUsable_ = false;
     /** Concrete view of ctx_.auditor for the scheduler-level checks
@@ -362,8 +369,8 @@ class GroupScheduler : public sched::Scheduler
     std::uint64_t migratesTimedOut_ = 0;
     std::uint64_t peersQuarantined_ = 0;
     std::uint64_t peersDeadDeclared_ = 0;
+    std::uint64_t periodsBelowBatch_ = 0;
     std::array<std::uint64_t, 4> patternCounts_{};
-    unsigned lastThreshold_ = 0;
 
     /** Per-period working storage, reused across ticks so a warm
      *  runtime invocation performs no heap allocation. The simulation

@@ -516,43 +516,45 @@ HwMessaging::setManagerDead(unsigned mgr)
 void
 HwMessaging::broadcastUpdate(unsigned src, std::size_t qlen)
 {
-    for (unsigned dst = 0; dst < numManagers(); ++dst) {
+    const unsigned n = numManagers();
+    UpdateChannel *chan = &updates_[static_cast<std::size_t>(src) * n];
+    for (unsigned dst = 0; dst < n; ++dst, ++chan) {
         if (dst == src || deadMgr_[dst] != 0)
             continue;
-        UpdateChannel &chan = updates_[src * numManagers() + dst];
-        settleUpdate(dst, chan);
-        if (!chan.inFlight) {
-            launchUpdate(src, dst, qlen);
+        settleUpdate(dst, *chan);
+        if (!chan->inFlight) {
+            launchUpdate(src, dst, *chan, qlen);
             continue;
         }
         // Coalesce: the newest value supersedes any pending one. The
         // first one behind an airborne value files the event that
         // relaunches it when the wire frees.
-        if (!chan.hasPending) {
-            chan.hasPending = true;
-            sim_.atSeq(chan.arriveAt, chan.arriveSeq,
+        if (!chan->hasPending) {
+            chan->hasPending = true;
+            sim_.atSeq(chan->arriveAt, chan->arriveSeq,
                        [this, src, dst] { relaunchUpdate(src, dst); });
         }
-        chan.pending = qlen;
+        chan->pending = qlen;
     }
 }
 
 void
 HwMessaging::readUpdates(unsigned mgr, std::vector<std::size_t> &q)
 {
-    for (unsigned src = 0; src < numManagers(); ++src) {
+    const unsigned n = numManagers();
+    UpdateChannel *chan = &updates_[mgr];
+    for (unsigned src = 0; src < n; ++src, chan += n) {
         if (src == mgr)
             continue;
-        UpdateChannel &chan = updates_[src * numManagers() + mgr];
-        settleUpdate(mgr, chan);
-        q[src] = chan.landed;
+        settleUpdate(mgr, *chan);
+        q[src] = chan->landed;
     }
 }
 
 void
-HwMessaging::launchUpdate(unsigned src, unsigned dst, std::size_t qlen)
+HwMessaging::launchUpdate(unsigned src, unsigned dst, UpdateChannel &chan,
+                          std::size_t qlen)
 {
-    UpdateChannel &chan = updates_[src * numManagers() + dst];
     ++stats_.updatesSent;
     const Tick flight = cfg_.hardware
                             ? transit(src, dst, hw::kHeaderBytes)
@@ -584,7 +586,7 @@ HwMessaging::relaunchUpdate(unsigned src, unsigned dst)
     if (deadMgr_[dst] == 0)
         chan.landed = chan.airborne;
     chan.hasPending = false;
-    launchUpdate(src, dst, chan.pending);
+    launchUpdate(src, dst, chan, chan.pending);
 }
 
 } // namespace altoc::core

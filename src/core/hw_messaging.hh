@@ -337,8 +337,10 @@ class HwMessaging
     /** Wire size of a MIGRATE with @p n descriptors. */
     static std::uint32_t migrateBytes(std::size_t n);
 
-    /** Launch the freshest value on an idle update channel. */
-    void launchUpdate(unsigned src, unsigned dst, std::size_t qlen);
+    /** Launch the freshest value on @p chan, the idle update
+     *  channel from @p src to @p dst. */
+    void launchUpdate(unsigned src, unsigned dst, UpdateChannel &chan,
+                      std::size_t qlen);
 
     /** Land @p chan's airborne value at @p dst if its arrival has
      *  passed and no relaunch event owns it. */

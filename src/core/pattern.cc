@@ -55,6 +55,18 @@ rankIndex(std::uint64_t key)
     return 0xffffu - static_cast<unsigned>(key & 0xffffu);
 }
 
+/** The whole ranking, longest queue first (Hill and Pairing). */
+void
+sortRanking(const std::vector<std::size_t> &q,
+            std::vector<std::uint64_t> &rank)
+{
+    const std::size_t n = q.size();
+    rank.resize(n);
+    for (unsigned i = 0; i < n; ++i)
+        rank[i] = rankKey(q[i], i);
+    std::sort(rank.begin(), rank.end(), std::greater<>());
+}
+
 } // namespace
 
 void
@@ -75,36 +87,36 @@ classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
     // index, so every manager computes the identical ranking. The
     // packed keys sort in exactly that order. Most periods classify as
     // None or Valley, which need only both ends of the ranking: one
-    // pass of min/max over the keys finds the two longest and the two
-    // shortest queues without a data-dependent branch.
-    std::vector<std::uint64_t> &rank = rank_scratch;
-    rank.resize(n);
-    for (unsigned i = 0; i < n; ++i) {
-        altoc_assert(q[i] >> 48 == 0,
-                     "queue length %zu overflows the ranking key", q[i]);
-        rank[i] = rankKey(q[i], i);
-    }
-    std::uint64_t first = std::max(rank[0], rank[1]);
-    std::uint64_t second = std::min(rank[0], rank[1]);
+    // pass of min/max over keys computed on the fly finds the two
+    // longest and the two shortest queues without a data-dependent
+    // branch. Only Hill and Pairing build and sort the whole ranking.
+    std::size_t all = q[0] | q[1];
+    const std::uint64_t k0 = rankKey(q[0], 0);
+    const std::uint64_t k1 = rankKey(q[1], 1);
+    std::uint64_t first = std::max(k0, k1);
+    std::uint64_t second = std::min(k0, k1);
     std::uint64_t last = second, next_to_last = first;
     for (unsigned i = 2; i < n; ++i) {
-        const std::uint64_t k = rank[i];
+        all |= q[i];
+        const std::uint64_t k = rankKey(q[i], i);
         second = std::max(second, std::min(first, k));
         first = std::max(first, k);
         next_to_last = std::min(next_to_last, std::max(last, k));
         last = std::min(last, k);
     }
+    altoc_assert(all >> 48 == 0,
+                 "a queue length overflows the ranking key");
     const unsigned longest = rankIndex(first);
     const unsigned second_longest = rankIndex(second);
     const unsigned shortest = rankIndex(last);
     const unsigned second_shortest = rankIndex(next_to_last);
+    std::vector<std::uint64_t> &rank = rank_scratch;
 
     if (q[longest] >= q[second_longest] + bulk) {
         // Hill: drain the outlier into up to `concurrency` of the
         // shortest other queues.
         res.pattern = Pattern::Hill;
-        // Hill and Pairing walk the whole ranking from both ends.
-        std::sort(rank.begin(), rank.end(), std::greater<>());
+        sortRanking(q, rank);
         const unsigned dsts =
             std::min<unsigned>(concurrency, static_cast<unsigned>(n) - 1);
         for (unsigned i = 0; i < dsts; ++i) {
@@ -131,7 +143,7 @@ classifyPatternInto(const std::vector<std::size_t> &q, std::size_t bulk,
         // Pairing: gradual imbalance; the i-th longest queue feeds
         // the i-th shortest.
         res.pattern = Pattern::Pairing;
-        std::sort(rank.begin(), rank.end(), std::greater<>());
+        sortRanking(q, rank);
         const unsigned pairs = std::min<unsigned>(
             concurrency, static_cast<unsigned>(n) / 2);
         for (unsigned i = 0; i < pairs; ++i) {

@@ -70,7 +70,9 @@ PatternResult classifyPattern(const std::vector<std::size_t> &q,
  * Allocation-free form of classifyPattern() for the per-period
  * runtime tick: the ranking scratch and the result (and its plans
  * vector) are caller-owned and reused across invocations, so a warm
- * runtime never allocates here.
+ * runtime never allocates here. Only Hill and Pairing periods fill
+ * and sort @p rank_scratch; None and Valley need just the two
+ * longest and the two shortest queues, found in one pass.
  */
 void classifyPatternInto(const std::vector<std::size_t> &q,
                          std::size_t bulk, unsigned concurrency,

@@ -6,7 +6,6 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "core/invariants.hh"
@@ -36,17 +35,25 @@ decideMigrationsInto(const std::vector<std::size_t> &q_in, unsigned self,
     if (n < 2)
         return;
 
-    out.overThreshold = q_in[self] > threshold;
-
     PatternResult &pat = scratch.pattern;
     classifyPatternInto(q_in, params.bulk, params.concurrency,
                         scratch.rank, pat);
     out.pattern = pat.pattern;
 
+    // Line 7: each MIGRATE carries S = Bulk / Concurrency requests.
+    // The line-8 guard below breaks at once while q[self] < S, so a
+    // queue that short sends nothing, whatever its threshold and
+    // plan: stop before overThreshold and the destinations.
+    const unsigned s = migrateBatch(params);
+    if (q_in[self] < s)
+        return;
+    out.overThreshold = q_in[self] > threshold;
+
     // Destinations this manager should feed: pattern plans where we
     // are the source. If we are over threshold but the pattern gave
     // us no role, fall back to the shortest other queues (the deep
-    // tail must drain somewhere).
+    // tail must drain somewhere), ordered by length, ties to the
+    // lower index: ascending packed keys q << 16 | idx.
     std::vector<unsigned> &dests = scratch.dests;
     dests.clear();
     for (const MigrationPlan &plan : pat.plans) {
@@ -54,15 +61,20 @@ decideMigrationsInto(const std::vector<std::size_t> &q_in, unsigned self,
             dests.push_back(plan.dst);
     }
     if (dests.empty() && out.overThreshold) {
-        std::vector<unsigned> &order = scratch.order;
+        altoc_assert(n <= 0x10000, "%zu managers overflow the order key",
+                     n);
+        std::vector<std::uint64_t> &order = scratch.rank;
         order.resize(n);
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [&q_in](unsigned a, unsigned b) {
-                      return q_in[a] != q_in[b] ? q_in[a] < q_in[b]
-                                                : a < b;
-                  });
-        for (unsigned idx : order) {
+        std::size_t all = 0;
+        for (unsigned i = 0; i < n; ++i) {
+            all |= q_in[i];
+            order[i] = static_cast<std::uint64_t>(q_in[i]) << 16 | i;
+        }
+        altoc_assert(all >> 48 == 0,
+                     "a queue length overflows the order key");
+        std::sort(order.begin(), order.end());
+        for (const std::uint64_t key : order) {
+            const auto idx = static_cast<unsigned>(key & 0xffffu);
             if (idx == self)
                 continue;
             dests.push_back(idx);
@@ -72,10 +84,6 @@ decideMigrationsInto(const std::vector<std::size_t> &q_in, unsigned self,
     }
     if (dests.empty())
         return;
-
-    // Line 7: each MIGRATE carries S = Bulk / Concurrency requests.
-    const unsigned s = std::max(
-        1u, params.bulk / std::max(1u, params.concurrency));
 
     // Apply the line-8 guard against a local working copy of q that
     // reflects the decisions already taken this period. The predicate

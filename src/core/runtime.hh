@@ -10,6 +10,7 @@
 #ifndef ALTOC_CORE_RUNTIME_HH
 #define ALTOC_CORE_RUNTIME_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,9 @@ struct MigrationDecision
 struct RuntimeDecision
 {
     Pattern pattern = Pattern::None;
-    /** True when the local queue exceeded the threshold T. */
+    /** True when the local queue exceeded the threshold T. Evaluated
+     *  only when the local queue holds at least one batch
+     *  (migrateBatch); below that it stays false. */
     bool overThreshold = false;
     std::vector<MigrationDecision> migrations;
 };
@@ -46,9 +49,19 @@ struct RuntimeScratch
     PatternResult pattern;
     std::vector<std::uint64_t> rank;
     std::vector<unsigned> dests;
-    std::vector<unsigned> order;
     std::vector<std::size_t> q;
 };
+
+/**
+ * Line 7's S = Bulk / Concurrency, at least 1: the descriptors one
+ * MIGRATE carries. A manager whose queue is shorter than S sends
+ * nothing this period (the line-8 guard).
+ */
+inline unsigned
+migrateBatch(const AltocParams &params)
+{
+    return std::max(1u, params.bulk / std::max(1u, params.concurrency));
+}
 
 /**
  * Algorithm 1 for manager @p self: given the synchronized queue
@@ -61,6 +74,11 @@ struct RuntimeScratch
  *  - the line-8 guard (skip a migration that would leave the
  *    destination no shorter than the source), applied against a
  *    local copy of q updated as decisions accumulate.
+ *
+ * The pattern is always classified. When q[self] < S the guard
+ * admits no MIGRATE whatever T and the plan say, so the decision
+ * ends there: it reads neither @p threshold nor the plan, and
+ * overThreshold stays false.
  */
 RuntimeDecision decideMigrations(const std::vector<std::size_t> &q,
                                  unsigned self, unsigned threshold,

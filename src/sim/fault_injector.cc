@@ -120,7 +120,7 @@ FaultInjector::messageFate(Tick now, unsigned src, unsigned dst)
 Tick
 FaultInjector::messageDelay(unsigned src, unsigned dst, Tick depart)
 {
-    if (spec_.delayProb <= 0.0 || spec_.delayNs == 0)
+    if (!delaysMessages())
         return 0;
     const std::uint64_t pair =
         (static_cast<std::uint64_t>(src) << 32) | dst;

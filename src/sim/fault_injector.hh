@@ -100,6 +100,33 @@ class FaultInjector
 
     const FaultSpec &spec() const { return spec_; }
 
+    // Which per-event hooks the spec can make act. While one of these
+    // is false its hook is pure -- it returns 0, notes nothing and
+    // draws no random number -- so a caller may skip the hook, or
+    // never install it, without changing the run.
+
+    /** messageDelay() can delay a message (delay=P:NS). */
+    bool
+    delaysMessages() const
+    {
+        return spec_.delayProb > 0.0 && spec_.delayNs > 0;
+    }
+
+    /** stretchExecution() can stretch a slice (straggle or freeze). */
+    bool
+    stretchesCores() const
+    {
+        return (spec_.straggleProb > 0.0 && spec_.straggleFactor > 1.0) ||
+               (spec_.freezeProb > 0.0 && spec_.freezeNs > 0);
+    }
+
+    /** managerStalledUntil() can stall a manager (stall or stallp). */
+    bool
+    stallsManagers() const
+    {
+        return spec_.stallSet || (spec_.stallProb > 0.0 && spec_.stallNs > 0);
+    }
+
     /**
      * Fate of one MIGRATE/ACK/NACK departing on the scheduling VN
      * from manager @p src toward @p dst at time @p now. Consumes one

@@ -60,18 +60,25 @@ Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
         faults_ = std::make_unique<sim::FaultInjector>(cfg_.faults);
         faults_->setTracer(tracer_.get());
         sim::FaultInjector *fi = faults_.get();
+        // A hook goes in only when the spec configures its fault
+        // kind: otherwise it would return 0 on every call.
         // Scheduling-VN messages can arrive late; data/request
         // traffic is out of the fault model's scope.
-        mesh_->setExtraDelay([fi](unsigned vnet, unsigned src,
-                                  unsigned dst, Tick depart) {
-            return vnet == noc::kVnSched
-                       ? fi->messageDelay(src, dst, depart)
-                       : 0;
-        });
-        for (auto &core : cores_) {
-            core->setStretch([fi](unsigned id, Tick start, Tick slice) {
-                return fi->stretchExecution(id, start, slice);
+        if (fi->delaysMessages()) {
+            mesh_->setExtraDelay([fi](unsigned vnet, unsigned src,
+                                      unsigned dst, Tick depart) {
+                return vnet == noc::kVnSched
+                           ? fi->messageDelay(src, dst, depart)
+                           : 0;
             });
+        }
+        if (fi->stretchesCores()) {
+            for (auto &core : cores_) {
+                core->setStretch(
+                    [fi](unsigned id, Tick start, Tick slice) {
+                        return fi->stretchExecution(id, start, slice);
+                    });
+            }
         }
     }
 
@@ -391,6 +398,16 @@ Server::dumpStatsBody(std::FILE *out, const char *prefix) const
 
     if (const auto *gs =
             dynamic_cast<const core::GroupScheduler *>(sched_.get())) {
+        // The runtime's period mix: how each period classified, and
+        // how many were too short to send one MIGRATE.
+        line("sched.runtimeTicks", static_cast<double>(gs->runtimeTicks()));
+        const auto &pc = gs->patternCounts();
+        line("sched.pattern.none", static_cast<double>(pc[0]));
+        line("sched.pattern.hill", static_cast<double>(pc[1]));
+        line("sched.pattern.valley", static_cast<double>(pc[2]));
+        line("sched.pattern.pairing", static_cast<double>(pc[3]));
+        line("sched.periodsBelowBatch",
+             static_cast<double>(gs->periodsBelowBatch()));
         line("sched.migratesRetried",
              static_cast<double>(gs->migratesRetried()));
         line("sched.migratesTimedOut",

@@ -401,6 +401,64 @@ TEST(FaultInjector, EventHookSeesEveryInjection)
     EXPECT_EQ(kinds[1], FaultInjector::Kind::MsgDup);
 }
 
+TEST(FaultInjector, HookPredicatesFollowTheSpec)
+{
+    struct Case
+    {
+        const char *spec;
+        bool delays, stretches, stalls;
+    };
+    const Case cases[] = {
+        {"seed=1", false, false, false},
+        {"drop=0.02,dup=0.01", false, false, false},
+        {"exhaust=0.1:2000,kill=3@100000,killm=1@5000", false, false,
+         false},
+        {"killp=0.01:1000", false, false, false},
+        {"delay=0.2:300", true, false, false},
+        {"delay=0:300", false, false, false},
+        {"straggle=0.05:3", false, true, false},
+        {"straggle=0.05:1", false, false, false},
+        {"straggle=0:3", false, false, false},
+        {"freeze=0.02:500", false, true, false},
+        {"freeze=0:500", false, false, false},
+        {"stall=1@5000+3000", false, false, true},
+        {"stallp=0.05:5000", false, false, true},
+        {"stallp=0:5000", false, false, false},
+        {"drop=0.01,dup=0.05,delay=0.2:300,exhaust=0.1:1000,"
+         "straggle=0.05:4,freeze=0.01:200,stall=1@50000+30000,"
+         "stallp=0.02:500",
+         true, true, true},
+    };
+    for (const Case &c : cases) {
+        const FaultInjector fi{FaultSpec::parse(c.spec)};
+        EXPECT_EQ(fi.delaysMessages(), c.delays) << c.spec;
+        EXPECT_EQ(fi.stretchesCores(), c.stretches) << c.spec;
+        EXPECT_EQ(fi.stallsManagers(), c.stalls) << c.spec;
+    }
+}
+
+TEST(FaultInjector, HooksArePureWhenTheirKindIsOff)
+{
+    // Skipping a hook whose predicate is false must change nothing:
+    // every call returns 0 and injects (notes) nothing.
+    FaultInjector fi{FaultSpec::parse(
+        "drop=0.5,dup=0.5,exhaust=0.5:100,killp=0.5:1000")};
+    ASSERT_FALSE(fi.delaysMessages());
+    ASSERT_FALSE(fi.stretchesCores());
+    ASSERT_FALSE(fi.stallsManagers());
+    unsigned notes = 0;
+    fi.setEventHook([&notes](FaultInjector::Kind, Tick, unsigned,
+                             unsigned) { ++notes; });
+    for (Tick t = 0; t < 100000; t += 97) {
+        const auto a = static_cast<unsigned>(t % 7);
+        EXPECT_EQ(fi.messageDelay(a, a + 1, t), 0u);
+        EXPECT_EQ(fi.stretchExecution(a, t, 500), 0u);
+        EXPECT_EQ(fi.managerStalledUntil(a, t), 0u);
+    }
+    EXPECT_EQ(notes, 0u);
+    EXPECT_EQ(fi.counters().total(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Hardened MIGRATE protocol under scripted fates
 // ---------------------------------------------------------------------

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/group.hh"
 #include "system/experiment.hh"
+#include "system/rack.hh"
+#include "trace/trace.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -221,3 +225,170 @@ TEST(GroupScheduler, PatternCountsPopulated)
         total += c;
     EXPECT_EQ(total, g.runtimeTicks());
 }
+
+// ---------------------------------------------------------------------
+// Pinned runtime counters. PinnedFingerprints (test_golden_results.cc)
+// pin completions only, so a runtime shortcut that dropped a period's
+// classification or UPDATE would pass them unseen. These values were
+// recorded before the runtime began skipping the threshold solve and
+// the decision in periods whose local queue cannot fill one MIGRATE;
+// that shortcut is exact, so none of them may move.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct RuntimeCounters
+{
+    std::uint64_t ticks = 0;
+    std::array<std::uint64_t, 4> patterns{};
+    std::uint64_t migrated = 0;
+    std::uint64_t updatesSent = 0;
+    std::uint64_t migratesSent = 0;
+    std::uint64_t descriptorsSent = 0;
+    std::uint64_t bytesOnNoc = 0;
+    std::uint64_t fingerprint = 0;
+};
+
+/** AC_rss, 16 cores in 4 groups (acrss16_lossy's design). */
+DesignConfig
+lossyRssConfig()
+{
+    return acConfig(Design::AcRss, 16, 4);
+}
+
+/** acrss16_lossy's traffic at 20,000 requests, seed 10. */
+WorkloadSpec
+lossyRssSpec()
+{
+    WorkloadSpec spec;
+    spec.service =
+        std::make_shared<workload::BimodalDist>(0.005, 500, 50 * kUs);
+    spec.rateMrps = 8.0;
+    spec.requests = 20000;
+    spec.connections = 8;
+    spec.sloAbsolute = 300 * kUs;
+    spec.seed = 10;
+    spec.faults = sim::FaultSpec::parse("drop=0.02,dup=0.01");
+    spec.faults.seed = 10;
+    spec.timeLimit = 5 * kMs; // twice the nominal 2.5 ms
+    return spec;
+}
+
+/** The counters come from a rack driven as runExperiment drives it
+ *  (its scheduler is reachable afterwards), the fingerprint from
+ *  runExperiment itself; the shared counters tie the two runs. */
+RuntimeCounters
+runtimeCounters(const DesignConfig &cfg, const WorkloadSpec &spec)
+{
+    Rack rack(cfg, spec);
+    rack.stopAfterCompletions(deriveSpec(spec).total);
+    LoadGenerator gen(rack, spec);
+    gen.start();
+    rack.run(spec.timeLimit);
+    const core::GroupScheduler &g = groupSched(rack.server(0));
+    const core::MessagingStats &m = g.messagingStats();
+
+    RuntimeCounters c;
+    c.ticks = g.runtimeTicks();
+    c.patterns = g.patternCounts();
+    c.migrated = g.requestsMigrated();
+    c.updatesSent = m.updatesSent;
+    c.migratesSent = m.migratesSent;
+    c.descriptorsSent = m.descriptorsSent;
+    c.bytesOnNoc = m.bytesOnNoc;
+
+    const RunResult res = runExperiment(cfg, spec);
+    EXPECT_EQ(res.migrated, c.migrated);
+    EXPECT_EQ(res.messaging.updatesSent, c.updatesSent);
+    c.fingerprint = res.fingerprint;
+    return c;
+}
+
+} // namespace
+
+// AC_rss, 16 cores in 4 groups, the Fig. 10 mix at 8 MRPS over 8
+// connections with 2% drops and 1% dups: nine periods in ten find a
+// local queue shorter than one batch.
+TEST(PinnedRuntimeCounters, AcRssLossyQuietPeriods)
+{
+    const RuntimeCounters c =
+        runtimeCounters(lossyRssConfig(), lossyRssSpec());
+    EXPECT_EQ(c.ticks, 51100u);
+    EXPECT_EQ(c.patterns, (std::array<std::uint64_t, 4>{51100, 0, 0, 0}));
+    EXPECT_EQ(c.migrated, 558u);
+    EXPECT_EQ(c.updatesSent, 153300u);
+    EXPECT_EQ(c.migratesSent, 284u);
+    EXPECT_EQ(c.descriptorsSent, 568u);
+    EXPECT_EQ(c.bytesOnNoc, 1238840u);
+    EXPECT_EQ(c.fingerprint, 0x6446182c442f7b35u);
+}
+
+// AC_int, 64 cores in 8 groups, ac256_fig11's mix and runtime
+// parameters (Bulk 16, Concurrency 8, Period 200 ns) at 80 MRPS over
+// 64 connections: most periods classify as Pairing.
+TEST(PinnedRuntimeCounters, AcIntPairingPeriods)
+{
+    DesignConfig cfg = acConfig(Design::AcInt, 64, 8);
+    cfg.lineRateGbps = 1600.0;
+    cfg.params.period = 200;
+    cfg.params.bulk = 16;
+    cfg.params.concurrency = 8;
+    WorkloadSpec spec;
+    spec.service =
+        std::make_shared<workload::BimodalDist>(0.005, 500, 26 * kUs);
+    spec.rateMrps = 80.0;
+    spec.requests = 20000;
+    spec.requestBytes = 64;
+    spec.connections = 64;
+    spec.seed = 10;
+
+    const RuntimeCounters c = runtimeCounters(cfg, spec);
+    EXPECT_EQ(c.ticks, 11096u);
+    EXPECT_EQ(c.patterns,
+              (std::array<std::uint64_t, 4>{2825, 0, 0, 8271}));
+    EXPECT_EQ(c.migrated, 4019u);
+    EXPECT_EQ(c.updatesSent, 77672u);
+    EXPECT_EQ(c.migratesSent, 2041u);
+    EXPECT_EQ(c.descriptorsSent, 4019u);
+    EXPECT_EQ(c.bytesOnNoc, 710298u);
+    EXPECT_EQ(c.fingerprint, 0xb73180806088c8a9u);
+}
+
+#if ALTOC_TRACE_ENABLED
+
+// A period too short to send still records its threshold while a
+// tracer is attached, so a trace holds one ThresholdRecompute per
+// runtime period, quiet or not.
+TEST(GroupTrace, OneThresholdRecordPerPeriod)
+{
+    WorkloadSpec spec = lossyRssSpec();
+    spec.tracing.enabled = true;
+    spec.tracing.ringSlots = std::size_t{1} << 15; // nothing evicted
+    Rack rack(lossyRssConfig(), spec);
+    rack.stopAfterCompletions(deriveSpec(spec).total);
+    LoadGenerator gen(rack, spec);
+    gen.start();
+    rack.run(spec.timeLimit);
+
+    const core::GroupScheduler &g = groupSched(rack.server(0));
+    const trace::Tracer *tracer = rack.server(0).tracer();
+    ASSERT_NE(tracer, nullptr);
+    ASSERT_EQ(tracer->totalDropped(), 0u);
+    std::uint64_t thresholds = 0;
+    for (unsigned ring = 0; ring < tracer->numRings(); ++ring) {
+        for (const trace::TraceRecord &rec : tracer->snapshot(ring)) {
+            if (static_cast<trace::TraceKind>(rec.kind) ==
+                trace::TraceKind::ThresholdRecompute) {
+                ++thresholds;
+            }
+        }
+    }
+    EXPECT_GT(g.periodsBelowBatch(), g.runtimeTicks() / 2);
+    EXPECT_EQ(thresholds, g.runtimeTicks());
+}
+
+#else // !ALTOC_TRACE_ENABLED
+
+TEST(GroupTrace, DISABLED_TraceHooksCompiledOut) {}
+
+#endif // ALTOC_TRACE_ENABLED

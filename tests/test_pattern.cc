@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <set>
 
+#include "common/rng.hh"
 #include "core/pattern.hh"
 #include "core/runtime.hh"
 
@@ -218,4 +222,153 @@ TEST(Runtime, InvocationCostIsaVsMsr)
               4 * lat::kIsaAccess);
     EXPECT_EQ(runtimeInvocationCost(Interface::Msr, 4) - msr0,
               4 * lat::kMsrAccess);
+}
+
+// ---------------------------------------------------------------------
+// Randomized checks against references that sort the whole ranking.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Sec. VI's classification read straight off the full ranking:
+ *  longest queue first, ties to the lower index. */
+PatternResult
+referenceClassify(const std::vector<std::size_t> &q, std::size_t bulk,
+                  unsigned concurrency)
+{
+    PatternResult res;
+    const std::size_t n = q.size();
+    if (n < 2 || bulk == 0)
+        return res;
+    std::vector<unsigned> rank(n);
+    std::iota(rank.begin(), rank.end(), 0u);
+    std::stable_sort(rank.begin(), rank.end(),
+                     [&q](unsigned a, unsigned b) { return q[a] > q[b]; });
+    const unsigned longest = rank[0];
+    const unsigned shortest = rank[n - 1];
+    if (q[longest] >= q[rank[1]] + bulk) {
+        res.pattern = Pattern::Hill;
+        const std::size_t dsts = std::min<std::size_t>(concurrency, n - 1);
+        for (std::size_t i = 0; i < dsts; ++i) {
+            if (rank[n - 1 - i] != longest)
+                res.plans.push_back({longest, rank[n - 1 - i]});
+        }
+    } else if (q[shortest] + bulk <= q[rank[n - 2]]) {
+        res.pattern = Pattern::Valley;
+        for (unsigned src = 0; src < n; ++src) {
+            if (src != shortest)
+                res.plans.push_back({src, shortest});
+        }
+    } else if (q[longest] >= q[shortest] + bulk) {
+        res.pattern = Pattern::Pairing;
+        const std::size_t pairs = std::min<std::size_t>(concurrency, n / 2);
+        for (std::size_t i = 0; i < pairs; ++i) {
+            const unsigned src = rank[i];
+            const unsigned dst = rank[n - 1 - i];
+            if (src != dst && q[src] >= q[dst] + bulk)
+                res.plans.push_back({src, dst});
+        }
+        if (res.plans.empty())
+            res.pattern = Pattern::None;
+    }
+    return res;
+}
+
+/** A random queue view with many ties: most entries share a few
+ *  levels, a few are outliers (hills and valleys). */
+std::vector<std::size_t>
+randomView(Rng &rng, std::size_t n)
+{
+    const std::uint64_t levels = 1 + rng.below(6);
+    const std::uint64_t step = 1 + rng.below(12);
+    std::vector<std::size_t> q(n);
+    for (std::size_t &v : q) {
+        v = rng.below(levels) * step;
+        if (rng.chance(0.05))
+            v += rng.below(200);
+    }
+    return q;
+}
+
+bool
+samePlans(const PatternResult &a, const PatternResult &b)
+{
+    if (a.pattern != b.pattern || a.plans.size() != b.plans.size())
+        return false;
+    for (std::size_t i = 0; i < a.plans.size(); ++i) {
+        if (a.plans[i].src != b.plans[i].src ||
+            a.plans[i].dst != b.plans[i].dst) {
+            return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(Pattern, MatchesFullRankingReference)
+{
+    Rng rng(2022);
+    std::vector<std::uint64_t> rank;
+    PatternResult got;
+    std::array<unsigned, 4> seen{};
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::size_t n = 2 + rng.below(63);
+        const std::vector<std::size_t> q = randomView(rng, n);
+        const std::size_t bulk = 1 + rng.below(40);
+        const auto conc = static_cast<unsigned>(1 + rng.below(16));
+        classifyPatternInto(q, bulk, conc, rank, got);
+        const PatternResult want = referenceClassify(q, bulk, conc);
+        ASSERT_TRUE(samePlans(got, want))
+            << "iteration " << iter << ": n=" << n << " bulk=" << bulk
+            << " concurrency=" << conc << " got "
+            << patternName(got.pattern) << ", want "
+            << patternName(want.pattern);
+        ++seen[static_cast<std::size_t>(got.pattern)];
+    }
+    for (unsigned count : seen)
+        EXPECT_GT(count, 100u) << "a pattern went unexercised";
+}
+
+TEST(Runtime, BelowOneBatchDecidesNothing)
+{
+    // Whatever the threshold and the view, a manager whose queue is
+    // shorter than S sends no MIGRATE, and its period still
+    // classifies exactly as classifyPattern does.
+    Rng rng(23);
+    RuntimeScratch scratch;
+    RuntimeDecision dec;
+    const std::size_t sizes[] = {2, 3, 4, 8, 16};
+    for (int iter = 0; iter < 20000; ++iter) {
+        const std::size_t n = sizes[rng.below(5)];
+        const AltocParams p =
+            params(static_cast<unsigned>(1 + rng.below(40)),
+                   static_cast<unsigned>(1 + rng.below(8)));
+        const unsigned s = migrateBatch(p);
+        std::vector<std::size_t> q = randomView(rng, n);
+        const auto self = static_cast<unsigned>(rng.below(n));
+        q[self] = rng.below(s);
+        const auto threshold = static_cast<unsigned>(rng.below(64));
+        decideMigrationsInto(q, self, threshold, p, scratch, dec);
+        ASSERT_TRUE(dec.migrations.empty()) << "iteration " << iter;
+        EXPECT_FALSE(dec.overThreshold);
+        ASSERT_EQ(dec.pattern,
+                  classifyPattern(q, p.bulk, p.concurrency).pattern)
+            << "iteration " << iter;
+    }
+}
+
+TEST(Runtime, OverThresholdFallbackBreaksTiesToLowerIndex)
+{
+    // No pattern role for manager 0 (Bulk 100 exceeds every gap), so
+    // the fallback feeds the other queues shortest first, the lower
+    // index first among equals. S = 100 / 50 = 2.
+    const std::vector<std::size_t> q{60, 20, 18, 18, 19, 18};
+    const RuntimeDecision dec =
+        decideMigrations(q, 0, /*threshold=*/50, params(100, 50));
+    EXPECT_EQ(dec.pattern, Pattern::None);
+    std::vector<unsigned> dsts;
+    for (const MigrationDecision &md : dec.migrations)
+        dsts.push_back(md.dst);
+    EXPECT_EQ(dsts, (std::vector<unsigned>{2, 3, 5, 4, 1}));
 }

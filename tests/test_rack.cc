@@ -679,6 +679,55 @@ TEST(RackStats, DumpCoversEveryServer)
     }
 }
 
+TEST(RackStats, DumpReportsTheRuntimePeriodMix)
+{
+    // Two AC servers: each server's block carries its runtime's
+    // period mix, and the four pattern counts partition its periods.
+    DesignConfig cfg = rackConfig(Design::AcInt, 2);
+    const WorkloadSpec spec = goldenSpec();
+    Rack rack(cfg, spec);
+    rack.stopAfterCompletions(spec.requests);
+    LoadGenerator gen(rack, spec);
+    gen.start();
+    rack.run();
+
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    rack.dumpStats(f);
+    std::fflush(f);
+    std::fseek(f, 0, SEEK_SET);
+    std::map<std::string, double> stat;
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) {
+        char name[128];
+        double value = 0.0;
+        if (std::sscanf(buf, "%127s %lf", name, &value) == 2)
+            stat[name] = value;
+    }
+    std::fclose(f);
+
+    for (unsigned s = 0; s < 2; ++s) {
+        const std::string p = "server" + std::to_string(s) + ".sched.";
+        for (const char *key :
+             {"runtimeTicks", "pattern.none", "pattern.hill",
+              "pattern.valley", "pattern.pairing", "periodsBelowBatch"}) {
+            ASSERT_EQ(stat.count(p + key), 1u) << p + key;
+        }
+        const double ticks = stat[p + "runtimeTicks"];
+        EXPECT_GT(ticks, 0.0);
+        EXPECT_EQ(stat[p + "pattern.none"] + stat[p + "pattern.hill"] +
+                      stat[p + "pattern.valley"] +
+                      stat[p + "pattern.pairing"],
+                  ticks);
+        EXPECT_LE(stat[p + "periodsBelowBatch"], ticks);
+        const auto *gs = dynamic_cast<const core::GroupScheduler *>(
+            &rack.server(s).scheduler());
+        ASSERT_NE(gs, nullptr);
+        EXPECT_EQ(stat[p + "periodsBelowBatch"],
+                  static_cast<double>(gs->periodsBelowBatch()));
+    }
+}
+
 // ---------------------------------------------------------------------
 // 7. Rack goldens
 // ---------------------------------------------------------------------
