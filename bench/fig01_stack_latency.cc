@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -56,9 +56,10 @@ measuredSchedulingNs(Design design, double load_frac, Tick service)
     const RunResult res = runExperiment(cfg, spec);
 
     // NIC transit both ways is part of the stack, not scheduling.
-    auto server = makeServer(cfg, service, "Fixed", 10 * service, 0, 1);
-    const Tick nic = server->nic().deliveryLatency(300) +
-                     server->nic().responseLatency(64);
+    Rack rack(cfg, spec);
+    net::Nic &nic_model = rack.server(0).nic();
+    const Tick nic = nic_model.deliveryLatency(300) +
+                     nic_model.responseLatency(64);
     const Tick p50 = res.latency.p50;
     return p50 > service + nic ? p50 - service - nic : 0;
 }

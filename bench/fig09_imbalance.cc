@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -33,9 +33,7 @@ snapshotAtTenViolations(net::Steering steering, std::uint64_t seed)
     // Sec. VIII-C's mix: ~630 ns mean with rare 26 us longs, so all
     // steering policies see violations (the paper's snapshot exists
     // for every policy).
-    const Tick mean_service = 630;
-    const Tick slo = 10 * mean_service;
-    auto server = makeServer(cfg, mean_service, "Bimodal", slo, 0, seed);
+    const Tick slo = 10 * 630;
 
     WorkloadSpec spec;
     spec.service =
@@ -44,30 +42,34 @@ snapshotAtTenViolations(net::Steering steering, std::uint64_t seed)
     // ~400 MRPS capacity; offer 97%.
     spec.rateMrps = 0.97 * 4 * 63 / 0.63;
     spec.requests = 3000000;
+    spec.sloAbsolute = slo;
+    spec.warmupFraction = 0.0;
     spec.seed = seed;
 
+    Rack rack(cfg, spec);
+    Server &server = rack.server(0);
     std::vector<std::size_t> snapshot;
     std::uint64_t violations = 0;
-    server->setCompletionHook(
+    server.setCompletionHook(
         [&](const net::Rpc &, Tick latency) {
             if (latency > slo && snapshot.empty()) {
                 if (++violations == 10) {
-                    snapshot = server->scheduler().queueLengths();
-                    server->sim().requestStop();
+                    snapshot = server.scheduler().queueLengths();
+                    server.sim().requestStop();
                 }
             }
         });
-    server->stopAfterCompletions(spec.requests);
+    rack.stopAfterCompletions(spec.requests);
 
     // Reproducibility fingerprint: the digest is printed so two
     // invocations of this bench can be diffed for determinism drift
     // (see tests/test_determinism.cc for the enforced contract).
     bench::RunFingerprint fp;
-    fp.attach(*server);
+    fp.attach(server);
 
-    LoadGenerator gen(*server, spec);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    server->run();
+    rack.run();
     fp.print(net::steeringName(steering));
     return snapshot;
 }

@@ -41,12 +41,12 @@ configFor(Design design, core::Interface iface, double rate)
         iface == core::Interface::Msr ? 1000 : 200;
     cfg.design.params.bulk = 16;
     cfg.design.params.concurrency = 4;
-    cfg.rateMrps = rate;
-    cfg.requests = 200000;
-    cfg.realWorldArrivals = true;
+    cfg.workload.rateMrps = rate;
+    cfg.workload.requests = 200000;
+    cfg.workload.realWorldArrivals = true;
     // SLO: 5 us p99 (10x the ~70 ns mean leaves no room for the
     // PCIe hop AC_rss pays; 5 us keeps all designs comparable).
-    cfg.sloAbsolute = 5 * kUs;
+    cfg.workload.sloAbsolute = 5 * kUs;
     cfg.store.keysPerPartition = 20000;
     cfg.store.buckets = 1 << 15;
     cfg.store.logBytes = 32u << 20;
@@ -54,7 +54,7 @@ configFor(Design design, core::Interface iface, double rate)
     // with the paper's 700 MRPS x-axis on 64 cores (see
     // EXPERIMENTS.md). Mean service ~= 70 ns.
     cfg.store.scanEntries = 160;
-    cfg.seed = 91;
+    cfg.workload.seed = 91;
     return cfg;
 }
 

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "stats/timeseries.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -33,33 +33,35 @@ sampleRun(bool migration)
     cfg.groups = 4;
     cfg.params.migrationEnabled = migration;
 
-    auto server = makeServer(cfg, 1000, "Fixed", 10 * kUs, 0, 7);
-    server->stopAfterCompletions(kRequests);
-
     WorkloadSpec spec;
     spec.service = workload::makeFixed(1 * kUs);
     spec.rateMrps = 18.0;
     spec.realWorldArrivals = true;
     spec.requests = kRequests;
     spec.connections = 6; // lumpy steering on top of the bursts
+    spec.warmupFraction = 0.0;
     spec.seed = 7;
+
+    Rack rack(cfg, spec);
+    rack.stopAfterCompletions(kRequests);
+    Server &server = rack.server(0);
 
     stats::TimeSeries series(kWindow);
     // Periodic sampler riding the simulation clock.
     std::function<void()> sample = [&] {
-        const auto lens = server->scheduler().queueLengths();
+        const auto lens = server.scheduler().queueLengths();
         const std::size_t longest =
             *std::max_element(lens.begin(), lens.end());
-        series.record(server->sim().now(),
+        series.record(server.sim().now(),
                       static_cast<double>(longest));
-        if (server->completed() < kRequests)
-            server->sim().after(kWindow / 4, sample);
+        if (server.completed() < kRequests)
+            server.sim().after(kWindow / 4, sample);
     };
-    server->sim().after(kWindow / 4, sample);
+    server.sim().after(kWindow / 4, sample);
 
-    LoadGenerator gen(*server, spec);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    server->run();
+    rack.run();
     return series;
 }
 

@@ -27,17 +27,17 @@ baseConfig()
     cfg.design.lineRateGbps = 1600.0;
     // SCANs are 0.5% of requests but ~80% of the demanded core time;
     // 60 MRPS keeps the burst phases of the MMPP inside capacity.
-    cfg.rateMrps = 60.0;
-    cfg.requests = 300000;
-    cfg.realWorldArrivals = true;
-    cfg.sloAbsolute = 10 * kUs;
+    cfg.workload.rateMrps = 60.0;
+    cfg.workload.requests = 300000;
+    cfg.workload.realWorldArrivals = true;
+    cfg.workload.sloAbsolute = 10 * kUs;
     // Few client connections make RSS steering lumpy across groups,
     // which is the imbalance ALTOCUMULUS migrations correct.
-    cfg.connections = 12;
+    cfg.workload.connections = 12;
     cfg.store.keysPerPartition = 20000;
     cfg.store.buckets = 1 << 15;
     cfg.store.logBytes = 32u << 20;
-    cfg.seed = 2026;
+    cfg.workload.seed = 2026;
     return cfg;
 }
 

@@ -233,10 +233,10 @@ GroupScheduler::pumpRss(unsigned g)
         return;
     }
     // The manager core is a serial resource: one hand-off per
-    // rssDispatchCost, shared with runtime invocations.
+    // lat::kCoherenceDispatch, shared with runtime invocations.
     grp.dispatchPending = true;
     const Tick start = std::max(ctx_.sim->now(), grp.managerFree);
-    grp.managerFree = start + cfg_.rssDispatchCost;
+    grp.managerFree = start + lat::kCoherenceDispatch;
     ctx_.sim->at(grp.managerFree, [this, g] { finishRssDispatch(g); });
 }
 
@@ -294,7 +294,13 @@ GroupScheduler::tryRunWorker(unsigned g, unsigned w)
         return;
     net::Rpc *r = grp.local[w].front();
     grp.local[w].pop_front();
-    if (cfg_.nucaPayload && r->started == kTickInf) {
+    // NUCA payload read: the payload sits in the LLC slice by the
+    // group's NetRX (the manager tile), so a worker pays a NoC round
+    // trip proportional to its distance when it starts the request.
+    // Larger groups place workers farther out -- the "variance in
+    // remote cache access latency" that degrades 64-core groups in
+    // Fig. 12a.
+    if (r->started == kTickInf) {
         const unsigned mgr_tile = ctx_.cores[grp.managerCore]->tile();
         r->remaining += 2 * ctx_.mesh->flightTime(mgr_tile, core->tile());
     }
@@ -435,7 +441,7 @@ GroupScheduler::runtimeTick(unsigned g)
         }
     }
     RuntimeDecision &dec = decisionScratch_;
-    decideMigrationsInto(*view, g, threshold, cfg_.params,
+    decideMigrationsInto(*view, g, threshold, cfg_.params, batch_,
                          runtimeScratch_, dec);
     ALTOC_AUDIT_HOOK(audit_, checkDecision(*view, g, dec));
     patternCounts_[static_cast<std::size_t>(dec.pattern)] += 1;

@@ -78,19 +78,6 @@ class GroupScheduler : public sched::Scheduler
         /** Service distribution name for Eq. 2 constants. */
         std::string distName = "Fixed";
 
-        /** Manager hand-off cost in the Rss variant. */
-        Tick rssDispatchCost = lat::kCoherenceDispatch;
-
-        /**
-         * Model NUCA payload reads: the RPC payload sits in the LLC
-         * slice by the group's NetRX (the manager tile), so a worker
-         * pays a round trip over the NoC proportional to its
-         * distance when it starts the request. Larger groups place
-         * workers farther out -- the "variance in remote cache
-         * access latency" that degrades 64-core groups in Fig. 12a.
-         */
-        bool nucaPayload = true;
-
         /**
          * Optional worker preemption quantum (extension beyond the
          * paper): kTickInf keeps the paper's run-to-completion

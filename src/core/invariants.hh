@@ -1,8 +1,9 @@
 /**
  * @file
  * Scheduler-level invariants of the ALTOCUMULUS design, machine-
- * checked at runtime by the InvariantAuditor (attach via
- * Server::Config::audit; hooks compile in under ALTOC_AUDIT).
+ * checked at runtime by the InvariantAuditor (every Server attaches
+ * one to its region in builds with ALTOC_AUDIT, where the hooks
+ * compile in).
  *
  * The properties audited are the ones the paper's claims rest on:
  *

@@ -18,14 +18,16 @@ decideMigrations(const std::vector<std::size_t> &q_in, unsigned self,
 {
     RuntimeDecision out;
     RuntimeScratch scratch;
-    decideMigrationsInto(q_in, self, threshold, params, scratch, out);
+    decideMigrationsInto(q_in, self, threshold, params,
+                         migrateBatch(params), scratch, out);
     return out;
 }
 
 void
 decideMigrationsInto(const std::vector<std::size_t> &q_in, unsigned self,
                      unsigned threshold, const AltocParams &params,
-                     RuntimeScratch &scratch, RuntimeDecision &out)
+                     unsigned s, RuntimeScratch &scratch,
+                     RuntimeDecision &out)
 {
     out.pattern = Pattern::None;
     out.overThreshold = false;
@@ -44,7 +46,6 @@ decideMigrationsInto(const std::vector<std::size_t> &q_in, unsigned self,
     // The line-8 guard below breaks at once while q[self] < S, so a
     // queue that short sends nothing, whatever its threshold and
     // plan: stop before overThreshold and the destinations.
-    const unsigned s = migrateBatch(params);
     if (q_in[self] < s)
         return;
     out.overThreshold = q_in[self] > threshold;

@@ -87,11 +87,12 @@ RuntimeDecision decideMigrations(const std::vector<std::size_t> &q,
 /**
  * Allocation-free form of decideMigrations() for the per-period
  * runtime tick: all working vectors (and out.migrations) are
- * caller-owned and retain capacity across invocations.
+ * caller-owned and retain capacity across invocations. @p s is
+ * migrateBatch(params), which the caller computes once per run.
  */
 void decideMigrationsInto(const std::vector<std::size_t> &q,
                           unsigned self, unsigned threshold,
-                          const AltocParams &params,
+                          const AltocParams &params, unsigned s,
                           RuntimeScratch &scratch, RuntimeDecision &out);
 
 /**

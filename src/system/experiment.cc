@@ -95,8 +95,7 @@ makeScheduler(const DesignConfig &cfg, Tick mean_service,
                     : cfg.design == Design::Nebula
                           ? sched::JbsqScheduler::nebula()
                           : sched::JbsqScheduler::nanoPu();
-            if (!cfg.singleCoherenceDomain &&
-                cfg.cores > cpu::kCoresPerSocket) {
+            if (cfg.cores > cpu::kCoresPerSocket) {
                 altoc_assert(cfg.cores % cpu::kCoresPerSocket == 0,
                              "core count must be a multiple of the "
                              "coherence-domain size beyond one socket");
@@ -131,7 +130,6 @@ makeScheduler(const DesignConfig &cfg, Tick mean_service,
                             : core::GroupScheduler::Variant::Rss;
             c.params = cfg.params;
             c.localDepth = cfg.localDepth;
-            c.nucaPayload = cfg.nucaPayload;
             c.workerQuantum = cfg.workerQuantum;
             c.meanService = mean_service;
             c.distName = dist_name;
@@ -164,8 +162,7 @@ nicConfigFor(const DesignConfig &cfg)
         n.attach = net::NicAttach::Integrated;
         // One NIC queue per coherence domain; multi-domain machines
         // steer across shards RSS-style.
-        n.steering = (!cfg.singleCoherenceDomain &&
-                      cfg.cores > cpu::kCoresPerSocket)
+        n.steering = cfg.cores > cpu::kCoresPerSocket
                          ? net::Steering::Rss
                          : net::Steering::Central;
         break;
@@ -185,28 +182,6 @@ nicConfigFor(const DesignConfig &cfg)
     if (cfg.steering)
         n.steering = *cfg.steering;
     return n;
-}
-
-std::unique_ptr<Server>
-makeServer(const DesignConfig &cfg, Tick mean_service,
-           const std::string &dist_name, Tick slo_target,
-           std::uint64_t warmup, std::uint64_t seed,
-           const sim::FaultSpec &faults, bool log_latency_histogram,
-           const trace::TraceConfig &tracing, sim::Simulator *region,
-           unsigned server_id)
-{
-    Server::Config scfg;
-    scfg.cores = cfg.cores;
-    scfg.nic = nicConfigFor(cfg);
-    scfg.serverId = server_id;
-    scfg.sloTarget = slo_target;
-    scfg.warmup = warmup;
-    scfg.seed = seed;
-    scfg.faults = faults;
-    scfg.logLatencyHistogram = log_latency_histogram;
-    scfg.trace = tracing;
-    return std::make_unique<Server>(
-        scfg, makeScheduler(cfg, mean_service, dist_name), region);
 }
 
 DerivedSpec
@@ -257,19 +232,9 @@ RunResult::accumulate(const Server &srv)
 // LoadGenerator
 // ---------------------------------------------------------------------
 
-LoadGenerator::LoadGenerator(Server &server, const WorkloadSpec &spec)
-    : LoadGenerator(nullptr, server, server.sim(), spec)
-{}
-
 LoadGenerator::LoadGenerator(Rack &rack, const WorkloadSpec &spec)
-    : LoadGenerator(&rack, rack.server(0), rack.sim(), spec)
-{}
-
-LoadGenerator::LoadGenerator(Rack *rack, Server &server,
-                             sim::Simulator &sim,
-                             const WorkloadSpec &spec)
-    : rack_(rack), server_(server), sim_(sim), spec_(spec),
-      rng_(server.forkRng(spec.seed))
+    : rack_(rack), sim_(rack.sim()), spec_(spec),
+      rng_(rack.server(0).forkRng(spec.seed))
 {
     if (spec_.trace == nullptr) {
         altoc_assert(spec_.service != nullptr,
@@ -284,21 +249,12 @@ LoadGenerator::LoadGenerator(Rack *rack, Server &server,
     }
 }
 
-int
-LoadGenerator::place()
-{
-    return rack_ != nullptr ? rack_->pickServer() : 0;
-}
-
 void
 LoadGenerator::send(int s, net::WireRpc &w)
 {
-    if (decorate_)
-        decorate_(w, rng_);
-    if (rack_ != nullptr)
-        rack_->deliver(static_cast<unsigned>(s), w);
-    else
-        server_.injectWire(w);
+    if (spec_.decorate)
+        spec_.decorate(w, rng_);
+    rack_.deliver(static_cast<unsigned>(s), w);
 }
 
 void
@@ -311,10 +267,10 @@ LoadGenerator::start()
         for (std::uint64_t i = 0; i < recs.size(); ++i) {
             const workload::TraceRecord &rec = recs[i];
             sim_.at(rec.arrival, [this, i, &rec] {
-                const int s = place();
+                const int s = rack_.pickServer();
                 ++injected_;
                 if (s < 0) {
-                    rack_->shedAtTor(i);
+                    rack_.shedAtTor(i);
                     return;
                 }
                 net::WireRpc w;
@@ -337,7 +293,7 @@ LoadGenerator::start()
 void
 LoadGenerator::injectNext()
 {
-    const int s = place();
+    const int s = rack_.pickServer();
     if (s >= 0) {
         net::WireRpc w;
         w.id = injected_;
@@ -351,7 +307,7 @@ LoadGenerator::injectNext()
     } else {
         // Every server is dead: shed at the ToR without drawing the
         // workload samples the request would have carried.
-        rack_->shedAtTor(injected_++);
+        rack_.shedAtTor(injected_++);
     }
 
     if (injected_ < spec_.requests) {

@@ -3,6 +3,9 @@
  * Experiment driver: named design configurations (Table I /
  * Sec. VII-A) plus a one-call "run workload X on design Y" harness
  * used by the benches, examples and integration tests.
+ * runExperiment runs every topology, a single server included, as a
+ * Rack (system/rack.hh); the MICA runner (system/mica_run.hh) is an
+ * adapter over it.
  */
 
 #ifndef ALTOC_SYSTEM_EXPERIMENT_HH
@@ -17,7 +20,9 @@
 
 #include "core/group.hh"
 #include "core/params.hh"
+#include "cpu/core.hh"
 #include "net/nic.hh"
+#include "net/rpc.hh"
 #include "sched/scheduler.hh"
 #include "stats/histogram.hh"
 #include "system/server.hh"
@@ -60,10 +65,6 @@ struct DesignConfig
     /** Local dispatch bound within an AC group. */
     unsigned localDepth = 1;
 
-    /** NUCA payload-read modeling for AC groups (see
-     *  GroupScheduler::Config::nucaPayload). */
-    bool nucaPayload = true;
-
     /** Optional AC worker preemption quantum (extension; kTickInf =
      *  the paper's run-to-completion workers). */
     Tick workerQuantum = kTickInf;
@@ -79,16 +80,6 @@ struct DesignConfig
 
     /** Custom label (defaults to the scheduler's own name). */
     std::string label;
-
-    /**
-     * Pretend the whole machine is one coherence domain even beyond
-     * 64 cores. Integrated-NIC hardware schedulers (RPCValet,
-     * Nebula, nanoPU) are otherwise sharded into 64-core domains
-     * with NIC steering across shards and no rebalancing (case
-     * study 1's "scale-out Nebula"); this flag enables the paper's
-     * optimistic single-domain assumption instead.
-     */
-    bool singleCoherenceDomain = false;
 
     /**
      * Rack topology (system/topology.hh): runExperiment builds
@@ -175,6 +166,23 @@ struct WorkloadSpec
     trace::TraceConfig tracing;
 
     std::uint64_t seed = 1;
+
+    /**
+     * Extra per-request setup, drawn after the connection from the
+     * generator's stream (MICA's key and operation sampling). Empty
+     * by default.
+     */
+    std::function<void(net::WireRpc &, Rng &)> decorate;
+
+    /**
+     * Per-core service resolver the rack installs on every server
+     * (MICA executes the operation and rewrites the demand). Empty by
+     * default.
+     *
+     * A spec whose hooks hold mutable state (the MICA store) must not
+     * be shared by concurrent runs (system/parallel_run.hh).
+     */
+    cpu::Core::ServiceResolver resolve;
 };
 
 /** What a run derives from its WorkloadSpec. */
@@ -317,43 +325,20 @@ makeScheduler(const DesignConfig &cfg, Tick mean_service,
 /** NIC configuration a design implies (attach + default steering). */
 net::Nic::Config nicConfigFor(const DesignConfig &cfg);
 
-/**
- * Build a ready-to-run server for a design: the one recipe behind
- * every server, bare or in a rack. Callers that need custom
- * injection (the MICA runner, fig09, unit tests) use it directly; a
- * Rack passes its kernel @p region and the server's @p server_id.
- * A null @p region gives the server a private kernel.
- */
-std::unique_ptr<Server>
-makeServer(const DesignConfig &cfg, Tick mean_service,
-           const std::string &dist_name, Tick slo_target,
-           std::uint64_t warmup, std::uint64_t seed,
-           const sim::FaultSpec &faults = {},
-           bool log_latency_histogram = false,
-           const trace::TraceConfig &tracing = {},
-           sim::Simulator *region = nullptr, unsigned server_id = 0);
-
 class Rack;
 
 /**
  * Open-loop load generator: draws sampled or trace-replayed requests
- * in wire form and hands them to a rack (ToR pick, then delivery) or
- * straight to a bare server.
+ * in wire form and hands them to a rack (ToR pick, then delivery).
  *
  * Per request the draws come in a fixed order: the ToR pick, then the
- * service sample, then the connection, then the decorator. A request
- * the ToR sheds draws nothing from the workload stream.
+ * service sample, then the connection, then the spec's decorator. A
+ * request the ToR sheds draws nothing from the workload stream.
  */
 class LoadGenerator
 {
   public:
-    /** Extra per-request setup (e.g. MICA key sampling). */
-    using Decorator = std::function<void(net::WireRpc &, Rng &)>;
-
-    LoadGenerator(Server &server, const WorkloadSpec &spec);
     LoadGenerator(Rack &rack, const WorkloadSpec &spec);
-
-    void setDecorator(Decorator fn) { decorate_ = std::move(fn); }
 
     /** Schedule all arrivals (trace) or the first arrival (sampled). */
     void start();
@@ -361,24 +346,16 @@ class LoadGenerator
     std::uint64_t injected() const { return injected_; }
 
   private:
-    LoadGenerator(Rack *rack, Server &server, sim::Simulator &sim,
-                  const WorkloadSpec &spec);
-
-    /** Target server of the next request, or -1: shed at the ToR. */
-    int place();
-
     /** Decorate a placed request and hand it to server @p s. */
     void send(int s, net::WireRpc &w);
 
     void injectNext();
 
-    Rack *rack_;     //!< null: requests go straight to server_
-    Server &server_; //!< the bare server, or the rack's server 0
-    sim::Simulator &sim_;
+    Rack &rack_;
+    sim::Simulator &sim_; //!< the rack's ToR region
     const WorkloadSpec &spec_;
     Rng rng_;
     std::unique_ptr<workload::ArrivalProcess> arrivals_;
-    Decorator decorate_;
     std::uint64_t injected_ = 0;
     Tick nextArrival_ = 0;
 };

@@ -1,14 +1,14 @@
 /**
  * @file
- * End-to-end MICA experiments (Sec. IX): wire a partitioned MICA
- * store, its RPC handlers and a load generator into any scheduler
- * design, and collect the same metrics as runExperiment().
+ * End-to-end MICA experiments (Sec. IX): a partitioned MICA store and
+ * its RPC handlers behind any scheduler design. runMicaExperiment is
+ * an adapter over runExperiment: it builds the store, fills the
+ * workload's service mix and its decorate/resolve hooks, runs the
+ * experiment on a rack of one, and adds the handler's counters.
  */
 
 #ifndef ALTOC_SYSTEM_MICA_RUN_HH
 #define ALTOC_SYSTEM_MICA_RUN_HH
-
-#include <optional>
 
 #include "mica/handlers.hh"
 #include "mica/kvs.hh"
@@ -19,28 +19,18 @@ namespace altoc::system {
 /** Configuration of one MICA end-to-end run. */
 struct MicaRunConfig
 {
+    /** The server; MICA runs on a rack of one (rack.servers == 1). */
     DesignConfig design;
 
-    /** Offered load in MRPS. */
-    double rateMrps = 100.0;
-
-    std::uint64_t requests = 100000;
+    /**
+     * Arrivals, request count, SLO, warmup, connections, capture and
+     * seed. The runner fills service, decorate and resolve; few
+     * connections -> lumpy per-group load under RSS steering.
+     */
+    WorkloadSpec workload;
 
     /** SCAN fraction in the query mix (Sec. IX-D: 0.5%). */
     double scanFrac = 0.005;
-
-    /** Use bursty real-world (MMPP) arrivals. */
-    bool realWorldArrivals = false;
-
-    /** SLO: absolute target wins over the L factor. */
-    std::optional<Tick> sloAbsolute;
-    double sloFactor = 10.0;
-
-    double warmupFraction = 0.1;
-
-    /** Client connections (RSS steering granularity); few
-     *  connections -> lumpy per-group load. */
-    unsigned connections = 1024;
 
     /** Zipf key-popularity skew; 0 keeps uniform sampling. Hot keys
      *  concentrate load on their EREW owner groups. */
@@ -52,10 +42,6 @@ struct MicaRunConfig
     /** Store geometry; partitions are overridden to match the
      *  design's group count (EREW: one partition per manager). */
     mica::MicaStore::Config store;
-
-    bool capturePerRequest = false;
-
-    std::uint64_t seed = 1;
 };
 
 /** Extra MICA-side counters reported next to the run metrics. */

@@ -5,8 +5,8 @@
  * the results back in submission order.
  *
  * Determinism contract: every run is fully determined by its (config,
- * spec) pair -- each builds a private Simulator/Server/Rng world and
- * the Simulator is thread-confined to whichever pool worker executes
+ * spec) pair -- each builds a private Rack/Server/Rng world and
+ * the kernel is thread-confined to whichever pool worker executes
  * it -- so a parallel batch returns a result vector bit-identical to
  * running the same jobs serially, for any job count. Verified by
  * tests/test_parallel_run.cc via RunResult::fingerprint.
@@ -19,8 +19,10 @@
  *
  * Threading rules for job code (see DESIGN.md "Parallel execution
  * engine"): a job may only touch its own Server and task-local state;
- * anything reachable from the spec (ServiceDist, Trace) is shared
- * read-only and must stay immutable during the batch.
+ * anything reachable from the spec (ServiceDist, Trace, the decorate
+ * and resolve hooks) is shared read-only and must stay immutable
+ * during the batch, so a spec whose hooks hold mutable state (a MICA
+ * store) must not be shared by concurrent runs.
  */
 
 #ifndef ALTOC_SYSTEM_PARALLEL_RUN_HH
@@ -44,10 +46,6 @@ struct RunJob
  * Execute every job (runExperiment) across @p jobs worker threads
  * (0 = ALTOC_JOBS env, else hardware concurrency; 1 = serial) and
  * return results in job order.
- *
- * Setting ALTOC_PROGRESS in the environment makes long batches emit
- * inform() progress lines (roughly every tenth completion); results
- * and stdout are unaffected.
  */
 std::vector<RunResult> runMany(const std::vector<RunJob> &batch,
                                unsigned jobs = 0);

@@ -47,8 +47,8 @@ namespace {
  *  stream (never drawn when servers == 1). */
 constexpr std::uint64_t kTorSeedSalt = 0x70f25eed;
 
-/** Per-server seed/identity fold; identity for server 0 so server 0
- *  of any rack is seeded exactly like a bare server. */
+/** Per-server seed fold; the identity for server 0, so a rack of
+ *  one seeds its server with the workload seed itself. */
 constexpr std::uint64_t
 serverSalt(unsigned server)
 {
@@ -83,13 +83,24 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     // tie-break order, so server events at a tick dispatch before
     // the ToR's. With one server the ToR shares region 0, and the
     // kernel is exactly a standalone Simulator.
+    Server::Config scfg;
+    scfg.cores = cfg_.cores;
+    scfg.nic = nicConfigFor(cfg_);
+    scfg.sloTarget = d.slo;
+    scfg.warmup = d.warmup / rack_.servers;
+    scfg.logLatencyHistogram = spec.logLatencyHistogram;
+    scfg.trace = spec.tracing;
     servers_.reserve(rack_.servers);
     for (unsigned s = 0; s < rack_.servers; ++s) {
-        servers_.push_back(makeServer(
-            cfg_, static_cast<Tick>(d.meanService), d.distName, d.slo,
-            d.warmup / rack_.servers, spec.seed ^ serverSalt(s),
-            spec.faults.forServer(s), spec.logLatencyHistogram,
-            spec.tracing, &kernel_.addRegion(), s));
+        scfg.serverId = s;
+        scfg.seed = spec.seed ^ serverSalt(s);
+        scfg.faults = spec.faults.forServer(s);
+        servers_.push_back(std::make_unique<Server>(
+            scfg,
+            makeScheduler(cfg_, static_cast<Tick>(d.meanService),
+                          d.distName),
+            kernel_.addRegion()));
+        servers_.back()->setResolver(spec.resolve);
     }
     if (rack_.servers == 1) {
         torSim_ = &kernel_.region(0);
@@ -115,16 +126,6 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
                 kTorRings, traceCfg_.ringSlots);
         }
     }
-
-#if ALTOC_AUDIT_ENABLED
-    // Each server's auditor attaches to its *own* region, so it sees
-    // exactly that server's events, and settle() panics per server.
-    // For one server this is exactly a bare server's wiring.
-    for (auto &srv : servers_) {
-        if (core::InvariantAuditor *a = srv->auditor())
-            srv->sim().setAuditor(a);
-    }
-#endif
 }
 
 Rack::~Rack() = default;
@@ -243,13 +244,9 @@ Rack::noteCoreDeath(unsigned s)
 void
 Rack::stopAfterCompletions(std::uint64_t n)
 {
-    if (numServers() == 1) {
-        servers_[0]->stopAfterCompletions(n);
-        return;
-    }
     stopAfter_ = n;
     for (auto &srv : servers_)
-        srv->stopAfterSharedCompletions(&sharedDone_, n);
+        srv->stopAfterCompletions(&sharedDone_, n);
 }
 
 Tick
@@ -351,25 +348,26 @@ Rack::dumpStats(std::FILE *out) const
     }
     if (out == nullptr)
         out = stdout;
-    auto line = [out](const char *name, double value) {
+    // Counters print exactly, as integers; ratios as %g.
+    auto count = [out](const char *name, std::uint64_t value) {
+        std::fprintf(out, "%-40s %20llu\n", name,
+                     static_cast<unsigned long long>(value));
+    };
+    auto ratio = [out](const char *name, double value) {
         std::fprintf(out, "%-40s %20.6g\n", name, value);
     };
     std::fprintf(out, "---------- Begin Simulation Statistics ----------\n");
-    line("rack.servers", static_cast<double>(numServers()));
-    line("rack.liveServers", static_cast<double>(liveServers_));
-    line("rack.finalTick", static_cast<double>(kernel_.now()));
-    line("rack.eventsExecuted",
-         static_cast<double>(kernel_.eventsExecuted()));
-    line("rack.torDispatched", static_cast<double>(torDispatched_));
-    line("rack.torShed", static_cast<double>(torShed_));
-    line("rack.completed", static_cast<double>(completedTotal()));
-    line("rack.requestsShed",
-         static_cast<double>(requestsShedTotal()));
-    line("rack.workerUtilization", workerUtilization());
-    if (torTracer_) {
-        line("rack.torTraceRecorded",
-             static_cast<double>(torTracer_->totalWritten()));
-    }
+    count("rack.servers", numServers());
+    count("rack.liveServers", liveServers_);
+    count("rack.finalTick", kernel_.now());
+    count("rack.eventsExecuted", kernel_.eventsExecuted());
+    count("rack.torDispatched", torDispatched_);
+    count("rack.torShed", torShed_);
+    count("rack.completed", completedTotal());
+    count("rack.requestsShed", requestsShedTotal());
+    ratio("rack.workerUtilization", workerUtilization());
+    if (torTracer_)
+        count("rack.torTraceRecorded", torTracer_->totalWritten());
     for (unsigned s = 0; s < numServers(); ++s) {
         char prefix[32];
         std::snprintf(prefix, sizeof prefix, "server%u.", s);

@@ -24,14 +24,14 @@
  * policies read server queue depths directly at pick time, an oracle
  * a real ToR lacks.
  *
- * A single server is a rack of one: runExperiment drives every
- * topology through this class. With servers == 1 the Rack adds
- * nothing to the world -- no ToR RNG draw, no link event, no extra
- * trace ring, one kernel region, which draws the seqs a standalone
- * Simulator would -- so the (tick, seq) event stream, and therefore
- * every golden, fingerprint and trace file, is the one a bare
- * makeServer + LoadGenerator run produces. tests/test_rack.cc pins
- * this.
+ * A single server is a rack of one, and this class is the only code
+ * that builds and runs a Server: runExperiment, the MICA runner and
+ * every bench or test that drives a server by hand go through it.
+ * With servers == 1 the Rack adds nothing to the world -- no ToR RNG
+ * draw, no link event, no extra trace ring, one kernel region, which
+ * draws the seqs a standalone Simulator would -- and the golden suite
+ * (tests/test_golden_results.cc) pins the single-server
+ * fingerprints.
  *
  * Fail-stop handling: a server whose last worker core dies is
  * declared dead (TraceKind::ServerDead) and the ToR stops steering to
@@ -65,9 +65,10 @@ class Rack
   public:
     /**
      * Build the rack described by @p cfg (server shape + cfg.rack
-     * topology) for workload @p spec. Every server is built by
-     * makeServer, so server 0 of a rack of one is a bare server.
-     * Panics when the fault spec scopes past the topology.
+     * topology) for workload @p spec: every server runs in its own
+     * kernel region, with the spec's service resolver installed when
+     * it has one. Panics when the fault spec scopes past the
+     * topology.
      */
     Rack(const DesignConfig &cfg, const WorkloadSpec &spec);
     ~Rack();
@@ -131,8 +132,8 @@ class Rack
     void shedAtTor(std::uint64_t rpc_id);
 
     /** Stop the kernel once @p n requests are accounted for rack-wide:
-     *  completed, shed at a server's admission or shed at the ToR (one
-     *  server counts its own; a federation shares one counter). */
+     *  completed, shed at a server's admission or shed at the ToR.
+     *  Every server and the ToR count into one shared counter. */
     void stopAfterCompletions(std::uint64_t n);
 
     /** Serial canonical run, then settle every server's audit. */
@@ -248,8 +249,7 @@ class Rack
     std::uint64_t torDispatched_ = 0;
     std::uint64_t torShed_ = 0;
     /** Rack-wide count of requests accounted for, shared by every
-     *  server's completion and shed paths and the ToR's shed path
-     *  (federations only). */
+     *  server's completion and shed paths and the ToR's shed path. */
     std::uint64_t sharedDone_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
 };

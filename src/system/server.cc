@@ -24,12 +24,8 @@ constexpr std::size_t kShedDepthPerLiveCore = 64;
 } // namespace
 
 Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
-               sim::Simulator *shared_sim)
-    : cfg_(cfg),
-      ownedSim_(shared_sim != nullptr ? nullptr
-                                      : std::make_unique<sim::Simulator>()),
-      sim_(shared_sim != nullptr ? *shared_sim : *ownedSim_),
-      rng_(cfg.seed), sched_(std::move(sched)),
+               sim::Simulator &region)
+    : cfg_(cfg), sim_(region), rng_(cfg.seed), sched_(std::move(sched)),
       tracker_(cfg.sloTarget, cfg.logLatencyHistogram)
 {
     altoc_assert(cfg_.cores > 0, "server needs cores");
@@ -38,13 +34,9 @@ Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
     mesh_ = std::make_unique<noc::Mesh>(noc::Mesh::forTiles(cfg_.cores));
 
 #if ALTOC_AUDIT_ENABLED
-    if (cfg_.audit) {
-        auditor_ = std::make_unique<core::InvariantAuditor>();
-        // With a shared kernel the rack attaches each server's
-        // auditor to that server's own region.
-        if (ownedSim_ != nullptr)
-            sim_.setAuditor(auditor_.get());
-    }
+    // The region's auditor sees exactly this server's events.
+    auditor_ = std::make_unique<core::InvariantAuditor>();
+    sim_.setAuditor(auditor_.get());
 #endif
 
     cores_.reserve(cfg_.cores);
@@ -285,19 +277,8 @@ Server::onRpcDone(cpu::Core &core, net::Rpc *r)
 void
 Server::countTowardStop()
 {
-    const std::uint64_t done = sharedDone_ != nullptr
-                                   ? ++*sharedDone_
-                                   : completed_ + requestsShed_;
-    if (done >= stopAfter_)
+    if (++*done_ >= stopAfter_)
         sim_.requestStop();
-}
-
-Tick
-Server::run(Tick until)
-{
-    const Tick end = sim_.run(until);
-    finishRun();
-    return end;
 }
 
 void
@@ -345,101 +326,90 @@ Server::dumpStats(std::FILE *out) const
 void
 Server::dumpStatsBody(std::FILE *out, const char *prefix) const
 {
-    auto line = [out, prefix](const char *name, double value) {
-        std::fprintf(out, "%s%-*s %20.6g\n", prefix,
-                     static_cast<int>(40 - std::strlen(prefix)), name,
-                     value);
+    // Counters print exactly, as integers; ratios and means as %g.
+    const int width = static_cast<int>(40 - std::strlen(prefix));
+    auto count = [out, prefix, width](const char *name,
+                                      std::uint64_t value) {
+        std::fprintf(out, "%s%-*s %20llu\n", prefix, width, name,
+                     static_cast<unsigned long long>(value));
     };
-    line("sim.finalTick", static_cast<double>(sim_.now()));
-    line("sim.eventsExecuted",
-         static_cast<double>(sim_.eventsExecuted()));
-    line("nic.received", static_cast<double>(nic_->received()));
-    line("noc.messages", static_cast<double>(mesh_->messages()));
-    line("noc.flitHops", static_cast<double>(mesh_->flitHops()));
-    line("server.completed", static_cast<double>(completed_));
-    line("server.dropped", static_cast<double>(dropped_));
-    line("server.requestsShed", static_cast<double>(requestsShed_));
-    line("server.workerUtilization", workerUtilization());
-    line("sched.coresDead", static_cast<double>(sched_->coresDead()));
-    line("sched.requestsRescued",
-         static_cast<double>(sched_->requestsRescued()));
-    line("sched.managersFailedOver",
-         static_cast<double>(sched_->managersFailedOver()));
-    line("sched.liveWorkerCores",
-         static_cast<double>(sched_->liveWorkerCores()));
+    auto ratio = [out, prefix, width](const char *name, double value) {
+        std::fprintf(out, "%s%-*s %20.6g\n", prefix, width, name, value);
+    };
+    count("sim.finalTick", sim_.now());
+    count("sim.eventsExecuted", sim_.eventsExecuted());
+    count("nic.received", nic_->received());
+    count("noc.messages", mesh_->messages());
+    count("noc.flitHops", mesh_->flitHops());
+    count("server.completed", completed_);
+    count("server.dropped", dropped_);
+    count("server.requestsShed", requestsShed_);
+    ratio("server.workerUtilization", workerUtilization());
+    count("sched.coresDead", sched_->coresDead());
+    count("sched.requestsRescued", sched_->requestsRescued());
+    count("sched.managersFailedOver", sched_->managersFailedOver());
+    count("sched.liveWorkerCores", sched_->liveWorkerCores());
 
     const stats::Summary lat = tracker_.summary();
-    line("latency.samples", static_cast<double>(lat.count));
-    line("latency.meanNs", lat.mean);
-    line("latency.p50Ns", static_cast<double>(lat.p50));
-    line("latency.p99Ns", static_cast<double>(lat.p99));
-    line("latency.p999Ns", static_cast<double>(lat.p999));
-    line("latency.maxNs", static_cast<double>(lat.max));
-    line("slo.targetNs", static_cast<double>(tracker_.target()));
-    line("slo.violations", static_cast<double>(tracker_.violations()));
-    line("slo.violationRatio", tracker_.violationRatio());
+    count("latency.samples", lat.count);
+    ratio("latency.meanNs", lat.mean);
+    count("latency.p50Ns", lat.p50);
+    count("latency.p99Ns", lat.p99);
+    count("latency.p999Ns", lat.p999);
+    count("latency.maxNs", lat.max);
+    count("slo.targetNs", tracker_.target());
+    count("slo.violations", tracker_.violations());
+    ratio("slo.violationRatio", tracker_.violationRatio());
 
     Tick busy_total = 0;
     for (const auto &core : cores_) {
         char name[64];
         std::snprintf(name, sizeof name, "core%02u.busyNs",
                       core->id());
-        line(name, static_cast<double>(core->busyNs()));
+        count(name, core->busyNs());
         busy_total += core->busyNs();
     }
-    line("cores.busyNsTotal", static_cast<double>(busy_total));
+    count("cores.busyNsTotal", busy_total);
 
     const auto lens = sched_->queueLengths();
     for (std::size_t i = 0; i < lens.size(); ++i) {
         char name[64];
         std::snprintf(name, sizeof name, "sched.queue%02zu.length", i);
-        line(name, static_cast<double>(lens[i]));
+        count(name, lens[i]);
     }
 
     if (const auto *gs =
             dynamic_cast<const core::GroupScheduler *>(sched_.get())) {
         // The runtime's period mix: how each period classified, and
         // how many were too short to send one MIGRATE.
-        line("sched.runtimeTicks", static_cast<double>(gs->runtimeTicks()));
+        count("sched.runtimeTicks", gs->runtimeTicks());
         const auto &pc = gs->patternCounts();
-        line("sched.pattern.none", static_cast<double>(pc[0]));
-        line("sched.pattern.hill", static_cast<double>(pc[1]));
-        line("sched.pattern.valley", static_cast<double>(pc[2]));
-        line("sched.pattern.pairing", static_cast<double>(pc[3]));
-        line("sched.periodsBelowBatch",
-             static_cast<double>(gs->periodsBelowBatch()));
-        line("sched.migratesRetried",
-             static_cast<double>(gs->migratesRetried()));
-        line("sched.migratesTimedOut",
-             static_cast<double>(gs->migratesTimedOut()));
-        line("sched.peersQuarantined",
-             static_cast<double>(gs->peersQuarantined()));
-        line("sched.peersDeadDeclared",
-             static_cast<double>(gs->peersDeadDeclared()));
+        count("sched.pattern.none", pc[0]);
+        count("sched.pattern.hill", pc[1]);
+        count("sched.pattern.valley", pc[2]);
+        count("sched.pattern.pairing", pc[3]);
+        count("sched.periodsBelowBatch", gs->periodsBelowBatch());
+        count("sched.migratesRetried", gs->migratesRetried());
+        count("sched.migratesTimedOut", gs->migratesTimedOut());
+        count("sched.peersQuarantined", gs->peersQuarantined());
+        count("sched.peersDeadDeclared", gs->peersDeadDeclared());
     }
     if (faults_) {
         const sim::FaultInjector::Counters &fc = faults_->counters();
-        line("faults.injected", static_cast<double>(fc.total()));
-        line("faults.msgDropped", static_cast<double>(fc.msgDropped));
-        line("faults.msgDuplicated",
-             static_cast<double>(fc.msgDuplicated));
-        line("faults.msgDelayed", static_cast<double>(fc.msgDelayed));
-        line("faults.exhaustWindows",
-             static_cast<double>(fc.exhaustWindows));
-        line("faults.stallWindows",
-             static_cast<double>(fc.stallWindows));
-        line("faults.coreStraggles",
-             static_cast<double>(fc.coreStraggles));
-        line("faults.coreFreezes", static_cast<double>(fc.coreFreezes));
-        line("faults.coreKills", static_cast<double>(fc.coreKills));
-        line("faults.managerKills",
-             static_cast<double>(fc.managerKills));
+        count("faults.injected", fc.total());
+        count("faults.msgDropped", fc.msgDropped);
+        count("faults.msgDuplicated", fc.msgDuplicated);
+        count("faults.msgDelayed", fc.msgDelayed);
+        count("faults.exhaustWindows", fc.exhaustWindows);
+        count("faults.stallWindows", fc.stallWindows);
+        count("faults.coreStraggles", fc.coreStraggles);
+        count("faults.coreFreezes", fc.coreFreezes);
+        count("faults.coreKills", fc.coreKills);
+        count("faults.managerKills", fc.managerKills);
     }
     if (tracer_) {
-        line("trace.recorded",
-             static_cast<double>(tracer_->totalWritten()));
-        line("trace.dropped",
-             static_cast<double>(tracer_->totalDropped()));
+        count("trace.recorded", tracer_->totalWritten());
+        count("trace.dropped", tracer_->totalDropped());
     }
 }
 

@@ -10,6 +10,10 @@
  *     -> CompletionSink::onRpcDone: response TX modeled, latency
  *        recorded when the response buffer is freed, descriptor
  *        recycled.
+ *
+ * A Server runs in a region of a rack's kernel; system::Rack is the
+ * only code that builds one, and a single server is a rack of one
+ * (system/rack.hh).
  */
 
 #ifndef ALTOC_SYSTEM_SERVER_HH
@@ -81,10 +85,9 @@ class Server : public sched::CompletionSink
         unsigned cores = 16;
         net::Nic::Config nic;
 
-        /** Position of this server in a rack topology (0 for a bare
-         *  server and for a rack of one). Only affects labeling
-         *  (trace ring attribution, stats prefixes); never the event
-         *  stream. */
+        /** Position of this server in its rack (0 for a rack of one).
+         *  Only affects labeling (trace ring attribution, stats
+         *  prefixes); never the event stream. */
         unsigned serverId = 0;
 
         /** Absolute SLO latency target (ns). */
@@ -94,16 +97,6 @@ class Server : public sched::CompletionSink
         /** Completions ignored before stats start recording. */
         std::uint64_t warmup = 0;
         std::uint64_t seed = 1;
-
-        /**
-         * Attach an InvariantAuditor to this server (descriptor
-         * conservation, migrate-at-most-once, Alg. 1 line-8 guard,
-         * monotone time; see core/invariants.hh). Only effective in
-         * builds with ALTOC_AUDIT; on by default there so every
-         * Debug test run is audited. A violation report is printed
-         * and the run panics at drain.
-         */
-        bool audit = ALTOC_AUDIT_ENABLED != 0;
 
         /**
          * Back the SLO tracker with the constant-memory LogHistogram
@@ -132,16 +125,16 @@ class Server : public sched::CompletionSink
     };
 
     /**
-     * @param shared_sim  event kernel to run against. Null (a bare
-     *        server) means the server owns a private kernel; a rack
-     *        passes the server's region of its kernel so N servers'
-     *        events interleave in (tick, region, seq) order.
-     *        Everything else about construction is identical, so a
-     *        server on a fresh region schedules the exact event
-     *        stream a self-owned one would.
+     * @param region  the kernel region this server runs in: a rack
+     *        gives each server its own, so N servers' events
+     *        interleave in (tick, region, seq) order. In audit builds
+     *        the server attaches an InvariantAuditor (descriptor
+     *        conservation, migrate-at-most-once, Alg. 1 line-8 guard,
+     *        monotone time; see core/invariants.hh) to that region;
+     *        finishRun() reports any violation and panics.
      */
     Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
-           sim::Simulator *shared_sim = nullptr);
+           sim::Simulator &region);
     ~Server() override;
 
     sim::Simulator &sim() { return sim_; }
@@ -199,39 +192,27 @@ class Server : public sched::CompletionSink
      *  (completed + shed == issued) survives whole-machine death. */
     void onRpcShed(net::Rpc *r) override;
 
-    /** Run the simulation until all events drain or @p until.
-     *  Equivalent to sim().run(until) followed by finishRun(); only
-     *  meaningful for a server that owns its kernel (a rack drives
-     *  the shared kernel itself and calls finishRun() per server). */
-    Tick run(Tick until = kTickInf);
-
     /**
      * End-of-run invariant settlement: when the event queue drained,
      * run the auditor's conservation checks and panic on any recorded
-     * violation. run() calls this; rack runs call it directly on each
-     * server after the shared kernel stops.
+     * violation. The rack calls it on each server after its kernel
+     * stops.
      */
     void finishRun();
 
     /**
-     * Halt the run loop once @p n requests have been accounted for:
-     * completed, or shed (requestsShed()). Designs with periodic
-     * activity (the ALTOCUMULUS runtime) never drain their event
-     * queue, so open-loop experiments must bound the run by the
+     * Count each request this server accounts for (completed, or
+     * shed: requestsShed()) into @p counter, and stop the kernel once
+     * it reaches @p n. A rack passes every server, and its ToR, one
+     * shared counter, which must outlive the run. Designs with
+     * periodic activity (the ALTOCUMULUS runtime) never drain their
+     * event queue, so open-loop experiments must bound the run by the
      * requests they issued.
      */
-    void stopAfterCompletions(std::uint64_t n) { stopAfter_ = n; }
-
-    /**
-     * Rack variant: count this server's completions and sheds into
-     * the shared @p counter and stop the (shared) kernel once it
-     * reaches @p n. The pointer must outlive the run. Replaces any
-     * per-server stopAfterCompletions bound.
-     */
     void
-    stopAfterSharedCompletions(std::uint64_t *counter, std::uint64_t n)
+    stopAfterCompletions(std::uint64_t *counter, std::uint64_t n)
     {
-        sharedDone_ = counter;
+        done_ = counter;
         stopAfter_ = n;
     }
 
@@ -267,14 +248,11 @@ class Server : public sched::CompletionSink
     /** Fork a deterministic child RNG (for load generators). */
     Rng forkRng(std::uint64_t salt) { return rng_.fork(salt); }
 
-    /** The invariant auditor, or null when auditing is off. */
+    /** The invariant auditor, or null outside audit builds. */
     const core::InvariantAuditor *auditor() const
     {
         return auditor_.get();
     }
-
-    /** Mutable auditor access (rack auditor fan-out wiring). */
-    core::InvariantAuditor *auditor() { return auditor_.get(); }
 
     /**
      * Called whenever one of this server's cores fail-stops (after
@@ -320,7 +298,7 @@ class Server : public sched::CompletionSink
     void inject(net::Rpc *r);
 
     /** One more request accounted for (completed or shed): stop the
-     *  run once the stopAfterCompletions bound is reached. */
+     *  kernel once the stopAfterCompletions bound is reached. */
     void countTowardStop();
 
     /** Schedule the spec's scripted kills (kill=, killm=) and arm the
@@ -343,10 +321,6 @@ class Server : public sched::CompletionSink
     void killWindowSweep(std::uint64_t window);
 
     Config cfg_;
-    /** Private kernel when this server is its own world; null when a
-     *  rack supplied a shared one. Declared before sim_ so the
-     *  reference can bind to it during construction. */
-    std::unique_ptr<sim::Simulator> ownedSim_;
     sim::Simulator &sim_;
     Rng rng_;
     std::unique_ptr<noc::Mesh> mesh_;
@@ -365,10 +339,11 @@ class Server : public sched::CompletionSink
     std::uint64_t completed_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t stopAfter_ = ~std::uint64_t{0};
-    /** Rack-shared count of requests accounted for; null for a bare
-     *  server and a rack of one (stopAfter_ then bounds this server's
-     *  own completions + sheds). */
-    std::uint64_t *sharedDone_ = nullptr;
+    /** Requests accounted for toward stopAfter_: ownDone_ until
+     *  stopAfterCompletions hands over the rack's shared counter, so
+     *  countTowardStop never tests for null. */
+    std::uint64_t ownDone_ = 0;
+    std::uint64_t *done_ = &ownDone_;
     /** At least one core has fail-stopped; admission shedding is
      *  armed (see requestsShed()). */
     bool degraded_ = false;

@@ -45,9 +45,8 @@ TorPolicy torPolicyFromName(std::string_view name);
 /**
  * Shape of the rack. servers == 1 (the default) is a rack of one: no
  * ToR RNG is drawn, no link event is scheduled and no server index is
- * mixed into the fingerprint, so a run is bit-identical to a bare
- * server's and every single-server golden, fingerprint and trace
- * stays put.
+ * mixed into the fingerprint, so every single-server golden,
+ * fingerprint and trace is that of the server alone.
  */
 struct RackConfig
 {

@@ -15,7 +15,7 @@
 
 #include "core/invariants.hh"
 #include "net/rpc.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -274,20 +274,19 @@ TEST(AuditorIntegration, AltocumulusRunHoldsAllInvariants)
     spec.service = workload::makePaperBimodal();
     spec.rateMrps = 10.0;
     spec.requests = 5000;
+    spec.sloAbsolute = 10 * static_cast<Tick>(spec.service->mean());
+    spec.warmupFraction = 0.0;
     spec.seed = 3;
 
-    const Tick mean =
-        static_cast<Tick>(spec.service->mean());
-    auto server = system::makeServer(cfg, mean, spec.service->name(),
-                                     10 * mean, 0, spec.seed);
-    // Let the run drain fully (no stopAfterCompletions): the AC
-    // runtime reschedules itself forever, so bound by time instead.
-    system::LoadGenerator gen(*server, spec);
+    // The AC runtime reschedules itself forever, so the run stops
+    // once every request has completed.
+    system::Rack rack(cfg, spec);
+    system::LoadGenerator gen(rack, spec);
     gen.start();
-    server->stopAfterCompletions(spec.requests);
-    server->run();
+    rack.stopAfterCompletions(spec.requests);
+    rack.run();
 
-    const core::InvariantAuditor *aud = server->auditor();
+    const core::InvariantAuditor *aud = rack.server(0).auditor();
     ASSERT_NE(aud, nullptr);
     EXPECT_TRUE(aud->ok());
     EXPECT_EQ(aud->counters().injected, spec.requests);

@@ -18,7 +18,7 @@
 
 #include "core/group.hh"
 #include "sim/fault_spec.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "trace/reader.hh"
 #include "trace/trace.hh"
 #include "workload/distributions.hh"
@@ -206,19 +206,18 @@ TEST(Chaos, QuarantinedPeerRejoinsAfterProbation)
     spec.seed = 42;
     spec.faults = FaultSpec::parse("stall=1@200000+1000000");
     spec.timeLimit = 500 * kMs;
+    spec.warmupFraction = 0.0;
 
-    const Tick mean = static_cast<Tick>(spec.service->mean());
-    auto server = makeServer(cfg, mean, spec.service->name(),
-                             10 * mean, 0, spec.seed, spec.faults);
-    LoadGenerator gen(*server, spec);
+    Rack rack(cfg, spec);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    server->stopAfterCompletions(spec.requests);
-    server->run(spec.timeLimit);
+    rack.stopAfterCompletions(spec.requests);
+    rack.run(spec.timeLimit);
 
     const auto *gs = dynamic_cast<const core::GroupScheduler *>(
-        &server->scheduler());
+        &rack.server(0).scheduler());
     ASSERT_NE(gs, nullptr);
-    EXPECT_EQ(server->completed(), 20000u);
+    EXPECT_EQ(rack.server(0).completed(), 20000u);
     // The outage opened at least one quarantine entry...
     EXPECT_GE(gs->peersQuarantined(), 1u);
     // ...and none is still masking a peer by the end of the run: the
@@ -230,8 +229,8 @@ TEST(Chaos, QuarantinedPeerRejoinsAfterProbation)
 }
 
 /**
- * Same scenario, driven through makeServer so the auditor's verdict
- * is inspectable: in audit builds, descriptor conservation and
+ * Same scenario, driven through a Rack so the auditor's verdict is
+ * inspectable: in audit builds, descriptor conservation and
  * migrate-at-most-once must hold across the stall, the timeouts and
  * the retries. Elsewhere the hooks compile away.
  */
@@ -254,16 +253,15 @@ TEST(Chaos, AuditorHoldsUnderStallAndRetry)
     spec.faults =
         FaultSpec::parse("drop=0.05,dup=0.03,stall=1@200000+500000");
     spec.timeLimit = 500 * kMs;
+    spec.warmupFraction = 0.0;
 
-    const Tick mean = static_cast<Tick>(spec.service->mean());
-    auto server = makeServer(cfg, mean, spec.service->name(),
-                             10 * mean, 0, spec.seed, spec.faults);
-    LoadGenerator gen(*server, spec);
+    Rack rack(cfg, spec);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    server->stopAfterCompletions(spec.requests);
-    server->run(spec.timeLimit);
+    rack.stopAfterCompletions(spec.requests);
+    rack.run(spec.timeLimit);
 
-    const core::InvariantAuditor *aud = server->auditor();
+    const core::InvariantAuditor *aud = rack.server(0).auditor();
     ASSERT_NE(aud, nullptr);
     EXPECT_TRUE(aud->ok());
     EXPECT_EQ(aud->counters().injected, spec.requests);

@@ -21,7 +21,7 @@
 #include "bench/bench_util.hh"
 #include "common/fingerprint.hh"
 #include "common/rng.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -49,19 +49,18 @@ runScenario(Design design, std::uint64_t seed)
     spec.service = workload::makeExponential(1 * kUs);
     spec.rateMrps = 8.0;
     spec.requests = 4000;
+    spec.warmupFraction = 0.0;
     spec.seed = seed;
 
-    const Tick slo = static_cast<Tick>(spec.sloFactor * 1 * kUs);
-    auto server = system::makeServer(cfg, 1 * kUs, "Exponential", slo,
-                                     0, seed);
-    server->stopAfterCompletions(spec.requests);
+    system::Rack rack(cfg, spec);
+    rack.stopAfterCompletions(spec.requests);
 
     bench::RunFingerprint fp;
-    fp.attach(*server);
+    fp.attach(rack.server(0));
 
-    system::LoadGenerator gen(*server, spec);
+    system::LoadGenerator gen(rack, spec);
     gen.start();
-    const Tick end = server->run();
+    const Tick end = rack.run();
 
     return StreamDigest{fp.digest(), fp.events(), end};
 }

@@ -39,6 +39,16 @@ fixedSpec(double mrps, std::uint64_t requests = 20000)
     return spec;
 }
 
+/** Run @p spec on @p rack until every request has completed. */
+void
+runAll(Rack &rack, const WorkloadSpec &spec)
+{
+    rack.stopAfterCompletions(spec.requests);
+    LoadGenerator gen(rack, spec);
+    gen.start();
+    rack.run();
+}
+
 const core::GroupScheduler &
 groupSched(const Server &server)
 {
@@ -52,25 +62,22 @@ groupSched(const Server &server)
 
 TEST(GroupScheduler, ManagerCoresNeverExecute)
 {
-    auto server = makeServer(acConfig(Design::AcRss), 1000, "Fixed",
-                             10 * kUs, 0, 1);
-    server->stopAfterCompletions(5000);
     WorkloadSpec spec = fixedSpec(8.0, 5000);
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    server->run();
-    EXPECT_EQ(server->completed(), 5000u);
+    spec.warmupFraction = 0.0;
+    Rack rack(acConfig(Design::AcRss), spec);
+    runAll(rack, spec);
+    const Server &server = rack.server(0);
+    EXPECT_EQ(server.completed(), 5000u);
     // Cores 0 and 8 are managers in a 2x8 layout.
-    EXPECT_EQ(server->cores()[0]->completed(), 0u);
-    EXPECT_EQ(server->cores()[8]->completed(), 0u);
-    EXPECT_GT(server->cores()[1]->completed(), 0u);
+    EXPECT_EQ(server.cores()[0]->completed(), 0u);
+    EXPECT_EQ(server.cores()[8]->completed(), 0u);
+    EXPECT_GT(server.cores()[1]->completed(), 0u);
 }
 
 TEST(GroupScheduler, WorkerCorePredicate)
 {
-    auto server = makeServer(acConfig(Design::AcInt), 1000, "Fixed",
-                             10 * kUs, 0, 1);
-    const auto &sched = server->scheduler();
+    Rack rack(acConfig(Design::AcInt), fixedSpec(8.0));
+    const auto &sched = rack.server(0).scheduler();
     EXPECT_FALSE(sched.isWorkerCore(0));
     EXPECT_TRUE(sched.isWorkerCore(1));
     EXPECT_TRUE(sched.isWorkerCore(7));
@@ -82,14 +89,11 @@ TEST(GroupScheduler, RuntimeTicksAtConfiguredPeriod)
 {
     DesignConfig cfg = acConfig(Design::AcInt);
     cfg.params.period = 100;
-    auto server =
-        makeServer(cfg, 1000, "Fixed", 10 * kUs, 0, 1);
-    server->stopAfterCompletions(2000);
     WorkloadSpec spec = fixedSpec(4.0, 2000);
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    server->run();
-    const auto &g = groupSched(*server);
+    spec.warmupFraction = 0.0;
+    Rack rack(cfg, spec);
+    runAll(rack, spec);
+    const auto &g = groupSched(rack.server(0));
     // ~2000 requests at 4 MRPS span ~500 us -> ~5000 ticks per
     // manager, 2 managers.
     EXPECT_GT(g.runtimeTicks(), 2000u);
@@ -98,14 +102,12 @@ TEST(GroupScheduler, RuntimeTicksAtConfiguredPeriod)
 TEST(GroupScheduler, UpdatesSynchronizeQueueViews)
 {
     DesignConfig cfg = acConfig(Design::AcRss);
-    auto server = makeServer(cfg, 1000, "Fixed", 10 * kUs, 0, 1);
-    server->stopAfterCompletions(10000);
     WorkloadSpec spec = fixedSpec(10.0, 10000);
     spec.connections = 8; // lumpy
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    server->run();
-    const auto &g = groupSched(*server);
+    spec.warmupFraction = 0.0;
+    Rack rack(cfg, spec);
+    runAll(rack, spec);
+    const auto &g = groupSched(rack.server(0));
     EXPECT_GT(g.messagingStats().updatesSent, 100u);
 }
 
@@ -212,14 +214,12 @@ TEST(GroupScheduler, PredictionsAreRecorded)
 TEST(GroupScheduler, PatternCountsPopulated)
 {
     DesignConfig cfg = acConfig(Design::AcInt);
-    auto server = makeServer(cfg, 1000, "Fixed", 10 * kUs, 0, 1);
-    server->stopAfterCompletions(30000);
     WorkloadSpec spec = fixedSpec(12.0, 30000);
     spec.connections = 3;
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    server->run();
-    const auto &g = groupSched(*server);
+    spec.warmupFraction = 0.0;
+    Rack rack(cfg, spec);
+    runAll(rack, spec);
+    const auto &g = groupSched(rack.server(0));
     std::uint64_t total = 0;
     for (std::uint64_t c : g.patternCounts())
         total += c;

@@ -10,7 +10,7 @@
 #include <tuple>
 
 #include "core/mgk.hh"
-#include "system/experiment.hh"
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -142,11 +142,12 @@ TEST_P(SimTheoryAgree, MeanWaitWithinTolerance)
 
     // Wait = latency - service - fixed NIC transit - the JBSQ push
     // flight (30 ns). Derive the mean wait from the mean latency.
-    auto server = makeServer(cfg, 1000, dist->name(), 10 * kUs, 0, 1);
+    Rack rack(cfg, spec);
+    net::Nic &nic = rack.server(0).nic();
     const double push = static_cast<double>(lat::kLlc);
     const double overhead =
-        static_cast<double>(server->nic().deliveryLatency(64) +
-                            server->nic().responseLatency(64)) +
+        static_cast<double>(nic.deliveryLatency(64) +
+                            nic.responseLatency(64)) +
         push;
     const double sim_wait = res.latency.mean - moments.mean - overhead;
 

@@ -20,16 +20,16 @@ smallConfig(Design design)
     cfg.design.cores = 32;
     cfg.design.groups = 2;
     cfg.design.lineRateGbps = 1600.0;
-    cfg.rateMrps = 30.0;
-    cfg.requests = 30000;
+    cfg.workload.rateMrps = 30.0;
+    cfg.workload.requests = 30000;
     cfg.store.keysPerPartition = 2000;
     cfg.store.buckets = 1 << 12;
     // Large enough that the circular log does not wrap during the
     // run; the log is lossy by design (see CircularLog), so a
     // wrapped log would make GET misses legitimate.
     cfg.store.logBytes = 64u << 20;
-    cfg.sloAbsolute = 10 * kUs;
-    cfg.seed = 4;
+    cfg.workload.sloAbsolute = 10 * kUs;
+    cfg.workload.seed = 4;
     return cfg;
 }
 
@@ -44,6 +44,26 @@ TEST(MicaRun, CompletesAllRequests)
     EXPECT_LT(res.scans, 400u);
     EXPECT_NEAR(static_cast<double>(res.gets),
                 static_cast<double>(res.sets), 30000 * 0.03);
+}
+
+// Values recorded before the MICA runner moved onto runExperiment,
+// which now also reports the run's fingerprint: the move changes how
+// the run is driven, not what it computes.
+TEST(MicaRun, PinnedAcIntRun)
+{
+    const MicaRunResult res = runMicaExperiment(smallConfig(Design::AcInt));
+    EXPECT_EQ(res.run.completed, 30000u);
+    EXPECT_EQ(res.run.latency.p50, 214u);
+    EXPECT_EQ(res.run.latency.p99, 236u);
+    EXPECT_EQ(res.run.latency.p999, 36967u);
+    EXPECT_EQ(res.run.violations, 142u);
+    EXPECT_EQ(res.run.migrated, 0u);
+    EXPECT_EQ(res.gets, 14830u);
+    EXPECT_EQ(res.sets, 15020u);
+    EXPECT_EQ(res.scans, 150u);
+    EXPECT_EQ(res.misses, 0u);
+    EXPECT_EQ(res.remoteExecutions, 14999u);
+    EXPECT_EQ(res.run.fingerprint, 0x593052c188446b4du);
 }
 
 TEST(MicaRun, NoMissesOnPopulatedStore)
@@ -84,12 +104,12 @@ TEST(MicaRun, DeterministicAcrossRuns)
 TEST(MicaRun, CapturePerRequestJoinsWithIds)
 {
     MicaRunConfig cfg = smallConfig(Design::AcInt);
-    cfg.capturePerRequest = true;
+    cfg.workload.capturePerRequest = true;
     const MicaRunResult res = runMicaExperiment(cfg);
-    ASSERT_EQ(res.run.perRequest.size(), cfg.requests);
-    std::vector<bool> seen(cfg.requests, false);
+    ASSERT_EQ(res.run.perRequest.size(), cfg.workload.requests);
+    std::vector<bool> seen(cfg.workload.requests, false);
     for (const auto &o : res.run.perRequest) {
-        ASSERT_LT(o.id, cfg.requests);
+        ASSERT_LT(o.id, cfg.workload.requests);
         EXPECT_FALSE(seen[o.id]);
         seen[o.id] = true;
     }
@@ -131,5 +151,5 @@ TEST(MicaRun, PartitionsMatchGroups)
     cfg.design.groups = 4;
     cfg.design.cores = 32;
     const MicaRunResult res = runMicaExperiment(cfg);
-    EXPECT_EQ(res.run.completed, cfg.requests);
+    EXPECT_EQ(res.run.completed, cfg.workload.requests);
 }

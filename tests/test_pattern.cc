@@ -349,7 +349,7 @@ TEST(Runtime, BelowOneBatchDecidesNothing)
         const auto self = static_cast<unsigned>(rng.below(n));
         q[self] = rng.below(s);
         const auto threshold = static_cast<unsigned>(rng.below(64));
-        decideMigrationsInto(q, self, threshold, p, scratch, dec);
+        decideMigrationsInto(q, self, threshold, p, s, scratch, dec);
         ASSERT_TRUE(dec.migrations.empty()) << "iteration " << iter;
         EXPECT_FALSE(dec.overThreshold);
         ASSERT_EQ(dec.pattern,

@@ -3,11 +3,12 @@
  * Rack federation suite (system/rack.hh).
  *
  * Three contracts are pinned here:
- *  1. Bit-identity -- a rack of one is a bare server: runExperiment
- *     (which runs every topology as a Rack) reproduces the
- *     fingerprint, counters and trace bytes of a bare makeServer +
- *     LoadGenerator run, the path the MICA runner, fig09 and the
- *     unit tests use.
+ *  1. A rack of one adds nothing: one server, no ToR dispatch or
+ *     shed, no per-server slices, and a trace file in the
+ *     single-server format. The Rack is the only way to run a server,
+ *     so there is no second path to compare against; the golden
+ *     suite (tests/test_golden_results.cc) pins the single-server
+ *     fingerprints.
  *  2. Conservation -- on a drained federated run every issued request
  *     either completed on some server, was shed at some server's
  *     admission, or was shed at the ToR; under crash ladders the ToR
@@ -27,12 +28,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
 #include "system/parallel_run.hh"
 #include "system/rack.hh"
 #include "trace/reader.hh"
@@ -89,14 +88,6 @@ tmpPath(const char *name)
     return ::testing::TempDir() + "altoc_rack_" + name;
 }
 
-std::vector<char>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
-}
-
 std::string
 goldenPath(const char *file)
 {
@@ -120,68 +111,19 @@ readGolden(const char *file)
 } // namespace
 
 // ---------------------------------------------------------------------
-// 1. N=1 bit-identity
+// 1. A rack of one adds nothing
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** The bare-server path: makeServer + LoadGenerator on a private
- *  kernel, observed the way runExperiment observes one server. Writes
- *  the trace rings to @p trace_path when tracing is on. */
-RunResult
-runBare(Design d, const WorkloadSpec &spec,
-        const std::string &trace_path = {})
-{
-    const DerivedSpec ds = deriveSpec(spec);
-    auto server = makeServer(goldenConfig(d),
-                             static_cast<Tick>(ds.meanService),
-                             ds.distName, ds.slo, ds.warmup, spec.seed,
-                             spec.faults, spec.logLatencyHistogram,
-                             spec.tracing);
-    server->reserveFor(ds.total);
-    server->stopAfterCompletions(ds.total);
-    bench::RunFingerprint fp;
-    fp.attach(*server);
-    LoadGenerator gen(*server, spec);
-    gen.start();
-    const Tick end = server->run(spec.timeLimit);
-
-    RunResult res;
-    res.accumulate(*server);
-    res.fingerprint = fp.digest();
-    res.fingerprintEvents = fp.events();
-    res.latency = server->tracker().summary();
-    res.violations = server->tracker().violations();
-    res.achievedMrps = end > 0 ? static_cast<double>(res.completed) /
-                                     static_cast<double>(end) * 1e3
-                               : 0.0;
-    if (!trace_path.empty()) {
-        EXPECT_TRUE(server->writeTrace(trace_path));
-    }
-    return res;
-}
-
-} // namespace
-
-/** runExperiment on a rack of one reproduces a bare server
- *  bit-for-bit, for every design the golden suite pins. */
-TEST(RackBitIdentity, SingleServerMatchesClassicPath)
+/** runExperiment on a rack of one, for every design the golden suite
+ *  pins: one server, no ToR dispatch or shed, no per-server slices. */
+TEST(RackBitIdentity, SingleServerAddsNothing)
 {
     for (Design d : {Design::Rss, Design::ZygOs, Design::AcInt,
                      Design::AcRss}) {
         const WorkloadSpec spec = goldenSpec();
-        const RunResult bare = runBare(d, spec);
         const RunResult rack = runExperiment(rackConfig(d, 1), spec);
-        EXPECT_EQ(bare.fingerprint, rack.fingerprint) << designName(d);
-        EXPECT_EQ(bare.fingerprintEvents, rack.fingerprintEvents)
-            << designName(d);
-        EXPECT_EQ(bare.completed, rack.completed) << designName(d);
-        EXPECT_EQ(bare.violations, rack.violations) << designName(d);
-        EXPECT_EQ(bare.latency.p99, rack.latency.p99) << designName(d);
-        EXPECT_EQ(bare.migrated, rack.migrated) << designName(d);
-        EXPECT_DOUBLE_EQ(bare.achievedMrps, rack.achievedMrps)
-            << designName(d);
-        // The rack adds nothing to an N=1 world.
+        EXPECT_EQ(rack.completed, spec.requests) << designName(d);
+        EXPECT_EQ(rack.fingerprintEvents, spec.requests) << designName(d);
         EXPECT_EQ(rack.rackServers, 1u);
         EXPECT_EQ(rack.torDispatched, 0u);
         EXPECT_EQ(rack.torShed, 0u);
@@ -189,32 +131,23 @@ TEST(RackBitIdentity, SingleServerMatchesClassicPath)
     }
 }
 
-/** runExperiment's trace file for a rack of one is byte-identical to
- *  a bare server's Server::writeTrace (the rack delegates to it and
- *  the header keeps coresPerServer == 0). */
-TEST(RackBitIdentity, SingleServerTraceBytesIdentical)
+/** A rack of one writes the single-server trace format: the header
+ *  keeps coresPerServer == 0, and the file decodes. */
+TEST(RackBitIdentity, SingleServerTraceKeepsLegacyHeader)
 {
-    const std::string barePath = tmpPath("bare.trace");
     const std::string rackPath = tmpPath("n1.trace");
 
     WorkloadSpec spec = goldenSpec();
     spec.tracing.enabled = true;
-    runBare(Design::AcRss, spec, barePath);
-
     spec.tracing.file = rackPath;
     runExperiment(rackConfig(Design::AcRss, 1), spec);
-
-    const std::vector<char> bareBytes = slurp(barePath);
-    const std::vector<char> rackBytes = slurp(rackPath);
-    ASSERT_FALSE(bareBytes.empty());
-    EXPECT_EQ(bareBytes, rackBytes);
 
     trace::TraceFileImage image;
     ASSERT_EQ(trace::readTraceFile(rackPath, image),
               trace::TraceReadStatus::Ok);
     EXPECT_EQ(image.coresPerServer, 0u) << "N=1 files stay legacy";
+    EXPECT_FALSE(image.rings.empty());
 
-    std::remove(barePath.c_str());
     std::remove(rackPath.c_str());
 }
 

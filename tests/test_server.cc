@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "system/experiment.hh"
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+
+#include "system/rack.hh"
 #include "workload/distributions.hh"
 
 using namespace altoc;
@@ -154,20 +159,22 @@ TEST(Server, DumpStatsWritesEveryComponent)
     DesignConfig cfg;
     cfg.design = Design::Nebula;
     cfg.cores = 4;
-    auto server = makeServer(cfg, 1000, "Fixed", 10 * kUs, 0, 1);
-    server->stopAfterCompletions(100);
     WorkloadSpec spec;
     spec.service = workload::makeFixed(500);
     spec.rateMrps = 1.0;
     spec.requests = 100;
-    LoadGenerator gen(*server, spec);
+    spec.sloAbsolute = 10 * kUs;
+    spec.warmupFraction = 0.0;
+    Rack rack(cfg, spec);
+    rack.stopAfterCompletions(100);
+    LoadGenerator gen(rack, spec);
     gen.start();
-    server->run();
+    rack.run();
 
     const char *path = "/tmp/altoc_stats_test.txt";
     std::FILE *f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr);
-    server->dumpStats(f);
+    rack.server(0).dumpStats(f);
     std::fclose(f);
 
     std::FILE *in = std::fopen(path, "r");
@@ -186,6 +193,73 @@ TEST(Server, DumpStatsWritesEveryComponent)
         EXPECT_NE(contents.find(key), std::string::npos) << key;
     }
     EXPECT_NE(contents.find("100"), std::string::npos);
+}
+
+namespace {
+
+/** The (name, value) lines of @p rack's stats dump. */
+std::map<std::string, double>
+readDump(const Rack &rack)
+{
+    std::FILE *f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    std::map<std::string, double> kv;
+    if (f == nullptr)
+        return kv;
+    rack.dumpStats(f);
+    std::rewind(f);
+    char line[256];
+    char name[128];
+    double value = 0.0;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        if (std::sscanf(line, "%127s %lf", name, &value) == 2)
+            kv[name] = value;
+    }
+    std::fclose(f);
+    return kv;
+}
+
+} // namespace
+
+/** Counters of a million or more print every digit: a ~1.25 ms run
+ *  ends past tick 10^6, and the dump reads back the exact tick. */
+TEST(Server, DumpStatsPrintsCountersExactly)
+{
+    for (unsigned servers : {1u, 2u}) {
+        DesignConfig cfg;
+        cfg.design = Design::Rss;
+        cfg.cores = 4;
+        cfg.rack.servers = servers;
+        WorkloadSpec spec;
+        spec.service = workload::makeFixed(500);
+        spec.rateMrps = 4.0;
+        spec.requests = 5000;
+        spec.seed = 3;
+        Rack rack(cfg, spec);
+        rack.stopAfterCompletions(spec.requests);
+        LoadGenerator gen(rack, spec);
+        gen.start();
+        rack.run();
+
+        const Tick end = rack.kernel().now();
+        ASSERT_GT(end, 1000000u);
+        const std::map<std::string, double> kv = readDump(rack);
+        // Every value below 2^53 reads back exactly as a double.
+        auto read = [&kv](const std::string &name) {
+            return static_cast<std::uint64_t>(kv.at(name));
+        };
+        const std::string prefix = servers == 1 ? "" : "server0.";
+        ASSERT_EQ(kv.count(prefix + "sim.finalTick"), 1u) << servers;
+        EXPECT_EQ(read(prefix + "sim.finalTick"), end) << servers;
+        EXPECT_EQ(read(prefix + "server.completed"),
+                  rack.server(0).completed())
+            << servers;
+        if (servers > 1) {
+            EXPECT_EQ(read("rack.finalTick"), end);
+            EXPECT_EQ(read("rack.eventsExecuted"),
+                      rack.kernel().eventsExecuted());
+        }
+    }
 }
 
 TEST(Server, DesignNamesRoundTrip)
