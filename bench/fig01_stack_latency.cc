@@ -59,7 +59,7 @@ measuredSchedulingNs(Design design, double load_frac, Tick service)
     Rack rack(cfg, spec);
     net::Nic &nic_model = rack.server(0).nic();
     const Tick nic = nic_model.deliveryLatency(300) +
-                     nic_model.responseLatency(64);
+                     nic_model.responseLatency(net::kResponseBytes);
     const Tick p50 = res.latency.p50;
     return p50 > service + nic ? p50 - service - nic : 0;
 }

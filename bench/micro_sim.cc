@@ -2,7 +2,7 @@
  * @file
  * google-benchmark micro benches for the simulation substrate and
  * the MICA data structures: event-queue throughput, NoC message
- * timing, descriptor pooling, histogram recording and KVS ops.
+ * timing, descriptor pooling and KVS ops.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,6 @@
 #include "noc/mesh.hh"
 #include "sim/kernel.hh"
 #include "sim/simulator.hh"
-#include "stats/histogram.hh"
 
 using namespace altoc;
 
@@ -236,20 +235,6 @@ BM_MeshSend(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MeshSend);
-
-static void
-BM_HistogramRecord(benchmark::State &state)
-{
-    stats::LogHistogram hist;
-    Tick v = 1;
-    for (auto _ : state) {
-        hist.record(v);
-        v = v * 1664525 + 1013904223;
-        v &= 0xffffff;
-        v |= 1;
-    }
-}
-BENCHMARK(BM_HistogramRecord);
 
 static void
 BM_MicaGet(benchmark::State &state)

@@ -4,8 +4,9 @@
 # Usage: scripts/lint.sh [--list-waivers]
 #
 # Each rule greps the library sources (src/) for an idiom this
-# codebase bans; see the rule comments for the rationale. Exits
-# non-zero listing every offending file:line.
+# codebase bans; bench-stand-in also greps bench/ (bench/perf/ aside),
+# examples/ and tests/. See the rule comments for the rationale.
+# Exits non-zero listing every offending file:line.
 #
 # Waiver grammar (enforced): a line opts out of exactly one rule with
 #
@@ -19,9 +20,21 @@ set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Every tree a rule may scan. bench/perf/ is a separate project that
+# only a benchmark change may edit; no rule scans it.
+trees=(src bench examples tests)
+
+# grep -rn over the C++ sources of the given trees, bench/perf/ aside.
+grep_sources() {
+    local pattern=$1
+    shift
+    grep -rn --include='*.cc' --include='*.hh' -E "$pattern" "$@" |
+        grep -v '^bench/perf/'
+}
+
 list_waivers() {
     local hits
-    hits=$(grep -rn --include='*.cc' --include='*.hh' 'lint:allow' src |
+    hits=$(grep_sources 'lint:allow' "${trees[@]}" |
         sed -E 's/^([^:]+:[0-9]+):.*lint:allow ([a-z-]+): *(.*)$/\1: [\2] \3/')
     if [ -z "$hits" ]; then
         echo "lint: no waivers"
@@ -41,16 +54,19 @@ fail=0
 # Strip line comments and block-comment-ish lines so prose mentioning
 # banned words (e.g. "accept new work") does not trip the rules, then
 # drop lines waived *for this specific rule* (lint:allow <rule>: ...).
+# Scans the trees given after the rule name, src/ by default.
 code_lines() {
     local pattern=$1 rulename=$2
-    grep -rn --include='*.cc' --include='*.hh' -E "$pattern" src |
+    shift 2
+    grep_sources "$pattern" "${@:-src}" |
         grep -vE "lint:allow ${rulename}: ." |
         grep -vE '^[^:]+:[0-9]+:\s*(//|\*|/\*)'
 }
 
 rule() {
     local name=$1 pattern=$2 why=$3 hits
-    hits=$(code_lines "$pattern" "$name")
+    shift 3
+    hits=$(code_lines "$pattern" "$name" "$@")
     if [ -n "$hits" ]; then
         echo "lint: [$name] $why"
         echo "$hits" | sed 's/^/    /'
@@ -60,8 +76,8 @@ rule() {
 
 # Waiver hygiene: every lint:allow in the tree must name a known rule
 # and carry a non-empty same-line reason after the colon.
-known_rules='naked-new|wall-clock|raw-tick-literal|foreign-rng|iostream|raw-schedule|unguarded-queue-mutation'
-bad_waivers=$(grep -rn --include='*.cc' --include='*.hh' 'lint:allow' src |
+known_rules='naked-new|wall-clock|raw-tick-literal|foreign-rng|iostream|raw-schedule|unguarded-queue-mutation|bench-stand-in'
+bad_waivers=$(grep_sources 'lint:allow' "${trees[@]}" |
     grep -vE "lint:allow (${known_rules}): .")
 if [ -n "$bad_waivers" ]; then
     echo "lint: [waiver-hygiene] lint:allow must read 'lint:allow <rule>: <reason>'"
@@ -110,6 +126,18 @@ rule iostream \
 rule raw-schedule \
     '(->|\.)(after|at)\s*\(\s*[1-9][0-9]*\s*[,)]' \
     'raw integer scheduling delay; name the Tick constant'
+
+# bench/perf/altoc_perf.cc still names one-line stand-ins for deleted
+# mechanisms (the sharded kernel, the log-scale latency store), and
+# only a benchmark change may edit that file, so they stay until the
+# next one. Nothing else may use them: their own declarations (and the
+# Rack constructor's check that logLatencyHistogram is false) carry
+# waivers, so any other hit is new code leaning on a mechanism that is
+# about to go.
+rule bench-stand-in \
+    '\b(resolveShards|runSharded|ParallelGate|parallelWindows|logLatencyHistogram)\b|\.shards\b' \
+    'bench/perf stand-in used outside bench/perf; it goes with the next benchmark change' \
+    "${trees[@]}"
 
 # Queue/occupancy mutations on the scheduling hot paths must be
 # guarded: any file that decrements an occupancy counter or dequeues

@@ -77,6 +77,14 @@ constexpr Tick kL1 = 2;
 constexpr Tick kLlc = 30;
 constexpr Tick kDram = 80;
 
+/** Preemption mechanism cost of JBSQ's preemptive baseline (nanoPU):
+ *  a hardware thread swap. */
+constexpr Tick kHwThreadSwap = 100;
+
+/** Handler time a deadline-drop core spends producing the rejection
+ *  response of a request past its budget. */
+constexpr Tick kRejectResponse = 50;
+
 } // namespace lat
 
 namespace bw {

@@ -357,7 +357,7 @@ GroupScheduler::onPreempt(cpu::Core &core, net::Rpc *r)
                                                  w, g)));
     altoc_assert(grp.occupancy[w] > 0, "occupancy underflow");
     occupancyDec(grp, w);
-    r->remaining += cfg_.preemptCost;
+    r->remaining += kGroupPreemptCost;
     grp.rx.enqueue(r, ctx_.sim->now());
     tryRunWorker(g, w);
     pump(g);

@@ -84,10 +84,9 @@ class GroupScheduler : public sched::Scheduler
          * workers; a finite quantum rotates long requests back to
          * the group's NetRX so shorts are never head-of-line blocked
          * (nanoPU-style, but at the group tier). Preempted requests
-         * pay preemptCost of extra demand per rotation.
+         * pay kGroupPreemptCost of extra demand per rotation.
          */
         Tick workerQuantum = kTickInf;
-        Tick preemptCost = 200;
 
         /** Report label; derived from the variant when empty. */
         std::string label;

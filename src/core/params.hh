@@ -118,6 +118,17 @@ struct AltocParams
     HardeningParams hardening;
 };
 
+/** Averaging window of the online LoadEstimator, which runs when
+ *  AltocParams::loadOverride is negative. */
+constexpr Tick kLoadWindow = 10 * kUs;
+
+/**
+ * Extra demand a request pays each time a finite worker quantum
+ * (GroupScheduler::Config::workerQuantum, an extension beyond the
+ * paper) preempts it back to its group's NetRX.
+ */
+constexpr Tick kGroupPreemptCost = 200;
+
 namespace hw {
 
 /** Migration register entries per manager tile (Sec. V-B: E[Nq] ~ 11

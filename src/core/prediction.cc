@@ -10,6 +10,7 @@
 
 #include "common/logging.hh"
 #include "core/erlang.hh"
+#include "core/params.hh"
 
 namespace altoc::core {
 
@@ -114,12 +115,16 @@ ThresholdModel::upperBound() const
     return static_cast<unsigned>(static_cast<double>(k_) * lFactor_) + 1;
 }
 
-LoadEstimator::LoadEstimator(Tick mean_service, Tick window)
-    : meanService_(static_cast<double>(mean_service)),
-      window_(static_cast<double>(window))
+namespace {
+
+constexpr double kWindow = static_cast<double>(kLoadWindow);
+
+} // namespace
+
+LoadEstimator::LoadEstimator(Tick mean_service)
+    : meanService_(static_cast<double>(mean_service))
 {
     altoc_assert(mean_service > 0, "mean service must be positive");
-    altoc_assert(window > 0, "window must be positive");
 }
 
 void
@@ -138,7 +143,7 @@ LoadEstimator::onArrival(Tick now)
     // EWMA with a time-proportional gain: fast gaps barely move the
     // estimate, window-sized gaps replace it.
     const double inst = 1.0 / dt;
-    const double alpha = std::min(1.0, dt / window_);
+    const double alpha = std::min(1.0, dt / kWindow);
     rate_ = (1.0 - alpha) * rate_ + alpha * inst;
 }
 
@@ -151,8 +156,8 @@ LoadEstimator::offeredLoad(Tick now) const
     // Decay the estimate across arrival droughts so a silent queue
     // is not treated as loaded.
     const double idle = static_cast<double>(now - lastUpdate_);
-    if (idle > window_)
-        rate *= window_ / idle;
+    if (idle > kWindow)
+        rate *= kWindow / idle;
     return rate * meanService_;
 }
 

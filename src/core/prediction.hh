@@ -121,11 +121,9 @@ class ThresholdModel
 class LoadEstimator
 {
   public:
-    /**
-     * @param mean_service mean request service time (ns)
-     * @param window       averaging window (ns)
-     */
-    LoadEstimator(Tick mean_service, Tick window = 10 * kUs);
+    /** @param mean_service mean request service time (ns); the
+     *  averaging window is kLoadWindow. */
+    explicit LoadEstimator(Tick mean_service);
 
     /** Record one arrival at time @p now. */
     void onArrival(Tick now);
@@ -137,7 +135,6 @@ class LoadEstimator
 
   private:
     double meanService_;
-    double window_;
     /** EWMA of the arrival rate (requests per ns). */
     mutable double rate_ = 0.0;
     mutable Tick lastUpdate_ = 0;

@@ -34,6 +34,9 @@ using workload::RequestKind;
  *  8 B pointer + 48-bit IP/port = 14 B). */
 constexpr unsigned kDescriptorBytes = 14;
 
+/** Response wire size (Sec. II: >90% of responses < 64 B). */
+constexpr std::uint32_t kResponseBytes = 64;
+
 /**
  * One in-flight RPC request.
  */

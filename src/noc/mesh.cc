@@ -12,8 +12,7 @@
 
 namespace altoc::noc {
 
-Mesh::Mesh(unsigned cols, unsigned rows, Tick per_hop)
-    : cols_(cols), rows_(rows), perHop_(per_hop)
+Mesh::Mesh(unsigned cols, unsigned rows) : cols_(cols), rows_(rows)
 {
     altoc_assert(cols > 0 && rows > 0, "degenerate mesh");
     // Four directed links per tile upper-bounds the link count; the
@@ -27,13 +26,13 @@ Mesh::Mesh(unsigned cols, unsigned rows, Tick per_hop)
 }
 
 Mesh
-Mesh::forTiles(unsigned tiles, Tick per_hop)
+Mesh::forTiles(unsigned tiles)
 {
     altoc_assert(tiles > 0, "mesh needs at least one tile");
     unsigned cols =
         static_cast<unsigned>(std::ceil(std::sqrt(static_cast<double>(tiles))));
     unsigned rows = (tiles + cols - 1) / cols;
-    return Mesh(cols, rows, per_hop);
+    return Mesh(cols, rows);
 }
 
 unsigned
@@ -50,7 +49,7 @@ Mesh::hops(unsigned src, unsigned dst) const
 Tick
 Mesh::flightTime(unsigned src, unsigned dst) const
 {
-    return static_cast<Tick>(hops(src, dst)) * perHop_;
+    return static_cast<Tick>(hops(src, dst)) * lat::kNocPerHop;
 }
 
 Tick
@@ -87,7 +86,7 @@ Mesh::send(unsigned vnet, unsigned src, unsigned dst, std::uint32_t bytes,
             // overlap).
             t = std::max(t, link);
             link = t + hold;
-            t += perHop_;
+            t += lat::kNocPerHop;
             cur = static_cast<std::size_t>(
                 static_cast<std::ptrdiff_t>(cur) + step);
         }

@@ -51,10 +51,10 @@ class Mesh
      * Build a mesh of @p cols x @p rows tiles. Tile i sits at
      * (i % cols, i / cols).
      */
-    Mesh(unsigned cols, unsigned rows, Tick per_hop = lat::kNocPerHop);
+    Mesh(unsigned cols, unsigned rows);
 
     /** Smallest square-ish mesh that fits @p tiles tiles. */
-    static Mesh forTiles(unsigned tiles, Tick per_hop = lat::kNocPerHop);
+    static Mesh forTiles(unsigned tiles);
 
     unsigned cols() const { return cols_; }
     unsigned rows() const { return rows_; }
@@ -102,7 +102,6 @@ class Mesh
 
     unsigned cols_;
     unsigned rows_;
-    Tick perHop_;
     /** coords_[tile], tabulated once so routing needs no division. */
     std::vector<Coord> coords_;
     /** free_[vnet][link] = earliest time the link is idle. */

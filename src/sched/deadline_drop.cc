@@ -51,9 +51,10 @@ DeadlineDropScheduler::tryDispatch(unsigned queue)
     if (age > cfg_.budget) {
         ++dropped_;
         r->dropped = true;
-        r->remaining = cfg_.rejectCost;
+        r->remaining = lat::kRejectResponse;
     }
-    core->run(r, cfg_.dispatchLatency);
+    // The NIC pushes the descriptor to the core at LLC speed.
+    core->run(r, lat::kLlc);
 }
 
 void

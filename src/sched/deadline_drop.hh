@@ -35,14 +35,9 @@ class DeadlineDropScheduler : public Scheduler
         std::string label = "DeadlineDrop";
 
         /** Queueing budget: a request whose age exceeds this at
-         *  dispatch is rejected. */
+         *  dispatch is rejected (its handler then runs for
+         *  lat::kRejectResponse). */
         Tick budget = 10 * kUs;
-
-        /** NIC-to-core push latency. */
-        Tick dispatchLatency = lat::kLlc;
-
-        /** Handler time consumed producing the rejection response. */
-        Tick rejectCost = 50;
     };
 
     explicit DeadlineDropScheduler(const Config &cfg);

@@ -46,7 +46,6 @@ JbsqScheduler::nanoPu()
     // Direct register-file delivery: a couple of pipeline stages.
     c.dispatchLatency = 5;
     c.quantum = 5 * kUs;
-    c.preemptCost = 100;
     return c;
 }
 
@@ -132,7 +131,7 @@ JbsqScheduler::onPreempt(cpu::Core &core, net::Rpc *r)
 {
     const unsigned id = core.id();
     ++preemptions_;
-    r->remaining += cfg_.preemptCost;
+    r->remaining += lat::kHwThreadSwap;
     if (!local_[id].empty()) {
         // Rotate: let the waiting request run, requeue the preempted
         // one behind it.

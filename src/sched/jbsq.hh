@@ -45,11 +45,9 @@ class JbsqScheduler : public Scheduler
         /** NIC-to-core push latency. */
         Tick dispatchLatency = lat::kLlc;
 
-        /** Preemption quantum; kTickInf disables preemption. */
+        /** Preemption quantum; kTickInf disables preemption. Each
+         *  preemption costs lat::kHwThreadSwap of extra demand. */
         Tick quantum = kTickInf;
-
-        /** Preemption mechanism cost (hardware thread swap). */
-        Tick preemptCost = 100;
 
         /**
          * Coherence domains. Integrated-NIC schedulers cannot push

@@ -320,28 +320,6 @@ EventQueue::executed() const
     return n;
 }
 
-Tick
-EventQueue::nextTime() const
-{
-    if (frontValid_)
-        return front_.when;
-    Tick best = kTickInf;
-    if (!heap_.empty() && keyAlive(heap_.front())) {
-        best = heap_.front().when;
-    } else {
-        for (const Key &k : heap_) {
-            if (k.when < best && keyAlive(k))
-                best = k.when;
-        }
-    }
-    if (summary_ != 0) {
-        const Tick w = slots_[buckets_[firstBucket()].head].when;
-        if (w < best)
-            best = w;
-    }
-    return best;
-}
-
 /** Pop the cached front from its residency, then run it. */
 ALTOC_HOT Tick
 EventQueue::dispatchFront(Tick &now_out)

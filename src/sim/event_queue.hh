@@ -206,14 +206,11 @@ class EventQueue
      *  a scan of the slot pool, for end-of-run checks and gauges. */
     std::size_t sizeIn(unsigned r) const;
 
-    /** Time of the earliest live event; kTickInf when empty. */
-    Tick nextTime() const;
-
     /**
-     * Like nextTime() but compacts cancelled heap records first and
-     * caches the front for the runOne()/runOneBefore() that follows,
-     * so a peek-then-dispatch loop finds each event once. Preferred in
-     * run loops.
+     * Time of the earliest live event; kTickInf when empty. Compacts
+     * cancelled heap records first and caches the front for the
+     * runOne()/runOneBefore() that follows, so a peek-then-dispatch
+     * loop finds each event once.
      */
     Tick
     peekTime()

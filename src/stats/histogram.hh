@@ -1,11 +1,10 @@
 /**
  * @file
- * Latency statistics: an exact sample recorder for modest runs and a
- * log-bucketed (HdrHistogram-style) recorder for long runs.
+ * Latency statistics: an exact sample recorder.
  *
  * Evaluation in the paper reports 99th-percentile latency and SLO
- * violation ratios (Sec. II-A); both recorders expose percentile
- * queries, means and violation counting against a target.
+ * violation ratios (Sec. II-A); the recorder exposes percentile
+ * queries, means and counts above a target.
  */
 
 #ifndef ALTOC_STATS_HISTOGRAM_HH
@@ -85,53 +84,6 @@ class SampleHistogram
     mutable std::vector<Tick> samples_;
     mutable bool sorted_ = false;
     double sum_ = 0.0;
-};
-
-/**
- * Log-bucketed histogram with bounded relative error, for runs whose
- * sample count makes exact storage wasteful. Values are grouped into
- * power-of-two ranges each split into 2^subBits linear sub-buckets,
- * giving a worst-case relative error of 2^-subBits.
- */
-class LogHistogram
-{
-  public:
-    /** @param sub_bits sub-bucket precision (default ~0.8% error). */
-    explicit LogHistogram(unsigned sub_bits = 7);
-
-    void record(Tick value);
-
-    std::uint64_t count() const { return count_; }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    /** Approximate value at quantile @p q in [0, 1]. */
-    Tick percentile(double q) const;
-
-    Tick max() const { return maxSeen_; }
-
-    std::uint64_t countAbove(Tick target) const;
-
-    double
-    fractionAbove(Tick target) const
-    {
-        return count_ ? static_cast<double>(countAbove(target)) / count_
-                      : 0.0;
-    }
-
-    Summary summary() const;
-
-    void reset();
-
-  private:
-    std::size_t bucketIndex(Tick value) const;
-    Tick bucketUpperBound(std::size_t index) const;
-
-    unsigned subBits_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    Tick maxSeen_ = 0;
 };
 
 } // namespace altoc::stats

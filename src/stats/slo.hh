@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "stats/histogram.hh"
 
@@ -28,51 +29,40 @@ sloTarget(Tick mean_service, double l_factor)
 }
 
 /**
- * Tracks latency samples against a fixed SLO target.
- *
- * Backing store is the exact SampleHistogram by default; @p log_scale
- * switches to the constant-memory LogHistogram for very long runs
- * (percentiles then carry its ~0.8% relative error). Violation
- * counting is exact in both modes.
+ * Tracks latency samples against a fixed SLO target, in the exact
+ * SampleHistogram store.
  */
 class SloTracker
 {
   public:
+    /**
+     * @param log_scale serial stand-in for bench/perf/altoc_perf.cc,
+     *        which passes WorkloadSpec::logLatencyHistogram here; only
+     *        a benchmark change may edit that file. Must be false: the
+     *        log-bucketed store is gone. The parameter goes with the
+     *        next benchmark change.
+     */
     explicit SloTracker(Tick target, bool log_scale = false)
-        : target_(target), logScale_(log_scale)
-    {}
+        : target_(target)
+    {
+        altoc_assert(!log_scale, "the log-scale latency store is gone");
+    }
 
     Tick target() const { return target_; }
 
-    /** True when backed by the log-bucketed store. */
-    bool logScale() const { return logScale_; }
-
-    /** Pre-allocate for @p n samples (no-op in log-scale mode, which
-     *  is already constant-memory). */
-    void
-    reserve(std::size_t n)
-    {
-        if (!logScale_)
-            hist_.reserve(n);
-    }
+    /** Pre-allocate for @p n samples. */
+    void reserve(std::size_t n) { hist_.reserve(n); }
 
     /** Record one completed RPC's server-side latency. */
     void
     record(Tick latency)
     {
-        if (logScale_)
-            logHist_.record(latency);
-        else
-            hist_.record(latency);
+        hist_.record(latency);
         if (latency > target_)
             ++violations_;
     }
 
-    std::uint64_t
-    completed() const
-    {
-        return logScale_ ? logHist_.count() : hist_.count();
-    }
+    std::uint64_t completed() const { return hist_.count(); }
 
     std::uint64_t violations() const { return violations_; }
 
@@ -84,12 +74,8 @@ class SloTracker
         return n ? static_cast<double>(violations_) / n : 0.0;
     }
 
-    /** Value at quantile @p q (approximate in log-scale mode). */
-    Tick
-    percentile(double q) const
-    {
-        return logScale_ ? logHist_.percentile(q) : hist_.percentile(q);
-    }
+    /** Value at quantile @p q. */
+    Tick percentile(double q) const { return hist_.percentile(q); }
 
     /** True when the 99th percentile is within the SLO target. */
     bool
@@ -100,30 +86,19 @@ class SloTracker
 
     Tick p99() const { return percentile(0.99); }
 
-    /** Latency summary from whichever store is active. */
-    Summary
-    summary() const
-    {
-        return logScale_ ? logHist_.summary() : hist_.summary();
-    }
-
-    /** The exact sample store. Valid only in the default mode; sweeps
-     *  that need raw samples must not enable log-scale tracking. */
-    const SampleHistogram &histogram() const { return hist_; }
+    /** Count, mean, p50/p90/p99/p999 and max of the store. */
+    Summary summary() const { return hist_.summary(); }
 
     void
     reset()
     {
         hist_.reset();
-        logHist_.reset();
         violations_ = 0;
     }
 
   private:
     Tick target_;
-    bool logScale_;
     SampleHistogram hist_;
-    LogHistogram logHist_;
     std::uint64_t violations_ = 0;
 };
 

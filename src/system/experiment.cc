@@ -341,7 +341,7 @@ class Observer
         // stream; only a federation needs a rack-wide one (its warmup
         // counts completions rack-wide).
         if (federated_) {
-            tracker_.emplace(d.slo, spec.logLatencyHistogram);
+            tracker_.emplace(d.slo);
             tracker_->reserve(static_cast<std::size_t>(d.total));
         }
         if (capture_ != nullptr)

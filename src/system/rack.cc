@@ -68,6 +68,8 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     altoc_assert(rack_.servers >= 1, "a rack needs at least one server");
     altoc_assert(rack_.policy != TorPolicy::PowerOfK || rack_.sampleK >= 1,
                  "power-of-k needs k >= 1");
+    altoc_assert(!spec.logLatencyHistogram, // lint:allow bench-stand-in: the stand-in's own check
+                 "the log-scale latency store is gone");
     const int maxScoped = spec.faults.maxScopedServer();
     if (maxScoped >= static_cast<int>(rack_.servers)) {
         fatal("fault spec scopes server %d but the rack has %u "
@@ -88,7 +90,6 @@ Rack::Rack(const DesignConfig &cfg, const WorkloadSpec &spec)
     scfg.nic = nicConfigFor(cfg_);
     scfg.sloTarget = d.slo;
     scfg.warmup = d.warmup / rack_.servers;
-    scfg.logLatencyHistogram = spec.logLatencyHistogram;
     scfg.trace = spec.tracing;
     servers_.reserve(rack_.servers);
     for (unsigned s = 0; s < rack_.servers; ++s) {

@@ -187,16 +187,17 @@ class Rack
     // ----- serial stand-ins for bench/perf/altoc_perf.cc ---------------
     // bench/perf/altoc_perf.cc names these, and only a benchmark
     // change may edit that file. They go with the next benchmark
-    // change; nothing else may use them
-    // (see also DesignConfig::shards and sim::Kernel::ParallelGate).
+    // change; nothing else may use them (scripts/lint.sh's
+    // bench-stand-in rule; see also DesignConfig::shards,
+    // sim::Kernel::ParallelGate and WorkloadSpec::logLatencyHistogram).
 
     /** Always 1: every rack runs on the serial kernel. */
-    unsigned resolveShards(unsigned) const { return 1; }
+    unsigned resolveShards(unsigned) const { return 1; } // lint:allow bench-stand-in: declaration
 
     /** run(@p until); the shard count and the gate are ignored. */
     Tick
-    runSharded(unsigned, Tick until = kTickInf,
-               sim::Kernel::ParallelGate = {})
+    runSharded(unsigned, Tick until = kTickInf, // lint:allow bench-stand-in: declaration
+               sim::Kernel::ParallelGate = {}) // lint:allow bench-stand-in: declaration
     {
         return run(until);
     }

@@ -26,7 +26,7 @@ constexpr std::size_t kShedDepthPerLiveCore = 64;
 Server::Server(const Config &cfg, std::unique_ptr<sched::Scheduler> sched,
                sim::Simulator &region)
     : cfg_(cfg), sim_(region), rng_(cfg.seed), sched_(std::move(sched)),
-      tracker_(cfg.sloTarget, cfg.logLatencyHistogram)
+      tracker_(cfg.sloTarget)
 {
     altoc_assert(cfg_.cores > 0, "server needs cores");
     altoc_assert(sched_ != nullptr, "server needs a scheduler");
@@ -248,8 +248,7 @@ Server::onRpcDone(cpu::Core &core, net::Rpc *r)
     ALTOC_AUDIT_HOOK(auditor_.get(), onComplete(*r));
     // The response traverses the TX path; latency ends when the
     // response buffer is freed (Sec. VII-B).
-    const Tick done =
-        sim_.now() + nic_->responseLatency(cfg_.responseBytes);
+    const Tick done = sim_.now() + nic_->responseLatency(net::kResponseBytes);
     const Tick latency = done - r->nicArrival;
 
     ++completed_;

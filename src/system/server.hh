@@ -92,18 +92,9 @@ class Server : public sched::CompletionSink
 
         /** Absolute SLO latency target (ns). */
         Tick sloTarget = 10 * kUs;
-        /** Response wire size (Sec. II: >90% of responses < 64 B). */
-        std::uint32_t responseBytes = 64;
         /** Completions ignored before stats start recording. */
         std::uint64_t warmup = 0;
         std::uint64_t seed = 1;
-
-        /**
-         * Back the SLO tracker with the constant-memory LogHistogram
-         * instead of the exact sample store (for very long runs;
-         * percentiles then carry ~0.8% relative error). Default off.
-         */
-        bool logLatencyHistogram = false;
 
         /**
          * Deterministic fault schedule for this run (chaos testing;

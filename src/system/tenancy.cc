@@ -30,14 +30,13 @@ struct TenantSystem::Tenant : sched::CompletionSink
     std::uint64_t injected = 0;
     std::uint64_t completed = 0;
     Tick nextArrival = 0;
-    std::uint32_t responseBytes = 64;
 
     void
     onRpcDone(cpu::Core &core, net::Rpc *r) override
     {
         (void)core;
         const Tick done = sys->sim_.now() +
-                          sys->nic_->responseLatency(responseBytes);
+                          sys->nic_->responseLatency(net::kResponseBytes);
         ++completed;
         if (completed > warmup)
             tracker->record(done - r->nicArrival);
@@ -60,7 +59,6 @@ TenantSystem::TenantSystem(std::vector<TenantConfig> tenants,
 
     // Build tenants over contiguous tile ranges.
     unsigned tile_base = 0;
-    std::vector<unsigned> queue_base;
     unsigned total_queues = 0;
     for (unsigned t = 0; t < cfgs_.size(); ++t) {
         const TenantConfig &cfg = cfgs_[t];
@@ -102,7 +100,6 @@ TenantSystem::TenantSystem(std::vector<TenantConfig> tenants,
                 ? workload::makeRealWorld(rate, static_cast<Tick>(mean))
                 : workload::makePoisson(rate);
 
-        queue_base.push_back(total_queues);
         total_queues += tenant->sched->nicQueues();
         totalRequests_ += cfg.workload.requests;
         tile_base += cfg.design.cores;
@@ -118,11 +115,10 @@ TenantSystem::TenantSystem(std::vector<TenantConfig> tenants,
     ncfg.steering = net::Steering::Rss;
     ncfg.numQueues = total_queues;
     nic_ = std::make_unique<net::Nic>(sim_, ncfg, rng_.fork(0x7e4a47));
-    nic_->setDeliver([this, queue_base](net::Rpc *r, unsigned q) {
+    nic_->setDeliver([this](net::Rpc *r, unsigned q) {
         Tenant &tenant = *tenants_[r->tenant];
         const unsigned n = tenant.sched->nicQueues();
         tenant.sched->deliver(r, q % n);
-        (void)queue_base;
     });
 }
 

@@ -67,13 +67,6 @@ class TenantSystem
     /** Run all tenants' workloads to completion. */
     std::vector<TenantResult> run();
 
-    sim::Simulator &sim() { return sim_; }
-
-    unsigned tenantCount() const
-    {
-        return static_cast<unsigned>(tenants_.size());
-    }
-
   private:
     struct Tenant;
 

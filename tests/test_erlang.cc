@@ -133,7 +133,7 @@ TEST(ThresholdModel, ThresholdMonotoneInLoad)
 TEST(LoadEstimator, ConvergesToOfferedLoad)
 {
     // 1 arrival per 100 ns with 400 ns mean service = 4 Erlangs.
-    LoadEstimator est(400, 10 * kUs);
+    LoadEstimator est(400);
     Tick now = 0;
     for (int i = 0; i < 5000; ++i) {
         now += 100;
@@ -144,7 +144,7 @@ TEST(LoadEstimator, ConvergesToOfferedLoad)
 
 TEST(LoadEstimator, DecaysWhenIdle)
 {
-    LoadEstimator est(400, 10 * kUs);
+    LoadEstimator est(400);
     Tick now = 0;
     for (int i = 0; i < 2000; ++i) {
         now += 100;
@@ -157,7 +157,7 @@ TEST(LoadEstimator, DecaysWhenIdle)
 
 TEST(LoadEstimator, TracksRateChanges)
 {
-    LoadEstimator est(400, 10 * kUs);
+    LoadEstimator est(400);
     Tick now = 0;
     for (int i = 0; i < 2000; ++i) {
         now += 200; // 2 Erlangs

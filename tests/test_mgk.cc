@@ -147,7 +147,7 @@ TEST_P(SimTheoryAgree, MeanWaitWithinTolerance)
     const double push = static_cast<double>(lat::kLlc);
     const double overhead =
         static_cast<double>(nic.deliveryLatency(64) +
-                            nic.responseLatency(64)) +
+                            nic.responseLatency(net::kResponseBytes)) +
         push;
     const double sim_wait = res.latency.mean - moments.mean - overhead;
 

@@ -34,7 +34,7 @@ TEST(Mesh, HopsAreManhattan)
 
 TEST(Mesh, FlightTimeUsesPerHopLatency)
 {
-    Mesh m(4, 4, 3);
+    Mesh m(4, 4);
     EXPECT_EQ(m.flightTime(0, 15), 18u);
     EXPECT_EQ(m.flightTime(3, 3), 0u);
 }
@@ -47,7 +47,7 @@ TEST(Mesh, SelfSendIsFree)
 
 TEST(Mesh, UncontendedSendMatchesFlightTime)
 {
-    Mesh m(4, 4, 3);
+    Mesh m(4, 4);
     // 14-byte descriptor = 1 flit: no serialization tail.
     const Tick arrive = m.send(kVnData, 0, 3, 14, 1000);
     EXPECT_EQ(arrive, 1000u + 9u);
@@ -55,7 +55,7 @@ TEST(Mesh, UncontendedSendMatchesFlightTime)
 
 TEST(Mesh, MultiFlitAddsSerialization)
 {
-    Mesh m(4, 4, 3);
+    Mesh m(4, 4);
     // 64 bytes = 4 flits: 3 extra flit slots on arrival.
     const Tick arrive = m.send(kVnData, 0, 1, 64, 0);
     EXPECT_EQ(arrive, 3u + 3u);
@@ -63,7 +63,7 @@ TEST(Mesh, MultiFlitAddsSerialization)
 
 TEST(Mesh, BackToBackMessagesQueueOnLink)
 {
-    Mesh m(4, 4, 3);
+    Mesh m(4, 4);
     const Tick first = m.send(kVnData, 0, 3, 64, 0);
     const Tick second = m.send(kVnData, 0, 3, 64, 0);
     EXPECT_GT(second, first);
@@ -71,19 +71,19 @@ TEST(Mesh, BackToBackMessagesQueueOnLink)
 
 TEST(Mesh, VirtualNetworksDoNotContend)
 {
-    Mesh a(4, 4, 3);
+    Mesh a(4, 4);
     // Saturate the data VN...
     for (int i = 0; i < 50; ++i)
         a.send(kVnData, 0, 3, 64, 0);
     // ...the scheduling VN still sees an uncontended path.
     const Tick sched_arrival = a.send(kVnSched, 0, 3, 14, 0);
-    Mesh b(4, 4, 3);
+    Mesh b(4, 4);
     EXPECT_EQ(sched_arrival, b.send(kVnSched, 0, 3, 14, 0));
 }
 
 TEST(Mesh, DisjointPathsDoNotContend)
 {
-    Mesh m(4, 4, 3);
+    Mesh m(4, 4);
     const Tick row0 = m.send(kVnData, 0, 3, 64, 0);
     // Row 3 uses different links entirely.
     const Tick row3 = m.send(kVnData, 12, 15, 64, 0);
@@ -100,8 +100,8 @@ TEST(Mesh, TrafficAccounting)
 
 TEST(Mesh, XyRoutingIsDeterministic)
 {
-    Mesh a(8, 8, 3);
-    Mesh b(8, 8, 3);
+    Mesh a(8, 8);
+    Mesh b(8, 8);
     for (unsigned src = 0; src < 64; src += 7) {
         for (unsigned dst = 0; dst < 64; dst += 5) {
             EXPECT_EQ(a.send(kVnData, src, dst, 14, 0),
