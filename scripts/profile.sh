@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Sample where altoc_perf spends host time on one workload.
 #
-# Usage: scripts/profile.sh W [--calls N] [--seed S]
+# Usage: scripts/profile.sh W [--mode e2e|setup] [--calls N] [--seed S]
 #
 #   W        a bench/perf workload (rss16_fig10, ac256_fig11,
 #            rack16_p2c, acrss16_lossy)
-#   --calls  altoc_perf --mode e2e calls to sample, one process each
-#            (default 12: calls 0 .. N-1)
+#   --mode   the altoc_perf mode to sample: e2e (a whole run) or setup
+#            (rack construction and no run, 0.03-2 ms a call; samples
+#            cover the whole process, so read the self shares)
+#   --calls  altoc_perf calls to sample, one process each
+#            (default 12 for e2e and 200 for setup: calls 0 .. N-1)
 #   --seed   workload seed (default 10; 11 is held out for claims)
 #
 # Configures bench/perf into .bench_build/perf-prof as a Release build
@@ -22,22 +25,29 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
 [ $# -ge 1 ] || usage
 workload=$1
 shift
-calls=12
+mode=e2e
+calls=
 seed=10
 while [ $# -gt 0 ]; do
     case $1 in
+      --mode) mode=${2:?}; shift 2 ;;
       --calls) calls=${2:?}; shift 2 ;;
       --seed) seed=${2:?}; shift 2 ;;
       *) usage ;;
     esac
 done
+case $mode in
+  e2e) calls=${calls:-12} ;;
+  setup) calls=${calls:-200} ;;
+  *) usage ;;
+esac
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 build=$root/.bench_build/perf-prof
@@ -53,8 +63,8 @@ out=$(mktemp -d "${TMPDIR:-/tmp}/altoc-prof.XXXXXX")
 trap 'rm -rf "$out"' EXIT
 for ((i = 0; i < calls; ++i)); do
     (cd "$out" && LD_PRELOAD=$sampler "$build/altoc_perf" \
-        --workload "$workload" --mode e2e --seed "$seed" --call "$i" \
+        --workload "$workload" --mode "$mode" --seed "$seed" --call "$i" \
         >/dev/null)
 done
-echo "$workload, seed $seed, calls 0-$((calls - 1)):"
+echo "$workload, --mode $mode, seed $seed, calls 0-$((calls - 1)):"
 python3 "$root/scripts/profile/report.py" "$out"/altoc-prof.*.txt

@@ -41,7 +41,7 @@ namespace {
 /** Memo-table resolution: grid points over [0, k). Thresholds for
  *  realistic (k, L) span at most a few dozen distinct values, so at
  *  2048 cells nearly every cell has equal endpoints and resolves
- *  without an Erlang solve. */
+ *  without a direct solve once its endpoints are filled. */
 constexpr std::size_t kMemoPoints = 2048;
 
 } // namespace
@@ -53,13 +53,11 @@ ThresholdModel::ThresholdModel(unsigned k, double l_factor,
     altoc_assert(k > 0, "threshold model needs at least one worker");
     altoc_assert(l_factor > 1.0, "SLO factor must exceed 1");
 
-    // Build the quantized-load table. Eq. 2 clamps the load to
-    // k - 1e-6, so beyond memoMax_ the threshold is a constant.
+    // Lay out the quantized-load table; threshold() fills its cells
+    // on demand. Eq. 2 clamps the load to k - 1e-6, so beyond
+    // memoMax_ the threshold is a constant.
     memoMax_ = static_cast<double>(k_) - 1e-6;
     memoStep_ = memoMax_ / static_cast<double>(kMemoPoints);
-    memo_.resize(kMemoPoints + 1);
-    for (std::size_t i = 0; i <= kMemoPoints; ++i)
-        memo_[i] = solveThreshold(static_cast<double>(i) * memoStep_);
     satThreshold_ = solveThreshold(memoMax_);
 }
 
@@ -84,15 +82,26 @@ ThresholdModel::solveThreshold(double a) const
 }
 
 unsigned
+ThresholdModel::cell(std::size_t i) const
+{
+    // A solved threshold is clamped to >= 1, so 0 marks an unsolved
+    // cell.
+    unsigned &t = memo_[i];
+    if (t == 0)
+        t = solveThreshold(static_cast<double>(i) * memoStep_);
+    return t;
+}
+
+unsigned
 ThresholdModel::threshold(double a) const
 {
     // Saturated region: Eq. 2 clamps the load to memoMax_, so the
     // answer is the cached constant.
-    if (a >= memoMax_) {
-        ++memoHits_;
+    if (a >= memoMax_)
         return satThreshold_;
-    }
     if (a >= 0.0) {
+        if (memo_.empty())
+            memo_.resize(kMemoPoints + 1, 0);
         std::size_t i = static_cast<std::size_t>(a / memoStep_);
         if (i >= kMemoPoints)
             i = kMemoPoints - 1;
@@ -100,12 +109,12 @@ ThresholdModel::threshold(double a) const
         const double hi = static_cast<double>(i + 1) * memoStep_;
         // threshold() is monotone in a (round-of-clamp-of-monotone),
         // so equal bracketing grid values pin the answer exactly.
-        if (lo <= a && a <= hi && memo_[i] == memo_[i + 1]) {
-            ++memoHits_;
-            return memo_[i];
+        if (lo <= a && a <= hi) {
+            const unsigned t = cell(i);
+            if (t == cell(i + 1))
+                return t;
         }
     }
-    ++memoMisses_;
     return solveThreshold(a);
 }
 

@@ -26,6 +26,7 @@
 #ifndef ALTOC_CORE_PREDICTION_HH
 #define ALTOC_CORE_PREDICTION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,13 +70,18 @@ class ThresholdModel
      * Memoized: threshold() is a monotone step function of the load
      * (Eq. 2 is a monotone transform of the Erlang-C expected queue
      * length, then clamped and rounded), so a quantized lookup table
-     * built at construction answers almost every per-period query
-     * with two table reads instead of the O(k) Erlang recurrence.
-     * When the two grid values bracketing @p a agree, monotonicity
-     * makes that value *exact*; only queries landing on one of the
-     * (few) step boundaries fall through to the direct solve, so the
+     * answers almost every per-period query with two table reads
+     * instead of the O(k) Erlang recurrence. A cell is solved the
+     * first time a query reads it, so construction solves only the
+     * saturation value and a run pays for the loads it visits. When
+     * the two grid values bracketing @p a agree, monotonicity makes
+     * that value *exact*; only queries landing on one of the (few)
+     * step boundaries fall through to the direct solve, so the
      * result is bit-identical to the unmemoized model by
-     * construction.
+     * construction, in any query order.
+     *
+     * Not thread-safe: the table fills in place. Each scheduler owns
+     * its model, and runMany gives each run its own Rack.
      */
     unsigned threshold(double a) const;
 
@@ -86,29 +92,26 @@ class ThresholdModel
     double lFactor() const { return lFactor_; }
     const ModelConstants &constants() const { return consts_; }
 
-    /** Memo-table queries answered without an Erlang solve. */
-    std::uint64_t memoHits() const { return memoHits_; }
-    /** Queries that fell through to the direct solve. */
-    std::uint64_t memoMisses() const { return memoMisses_; }
-
   private:
     /** Direct (unmemoized) solve of threshold(). */
     unsigned solveThreshold(double a) const;
+    /** Table cell @p i, solved on first read. */
+    unsigned cell(std::size_t i) const;
 
     unsigned k_;
     double lFactor_;
     ModelConstants consts_;
 
     /** Quantized-load lookup table over [0, k): memo_[i] is the
-     *  direct solve at load i * memoStep_. */
-    std::vector<unsigned> memo_;
+     *  direct solve at load i * memoStep_, or 0 (never a threshold)
+     *  until a query first reads it. Allocated at the first query,
+     *  so a model no run queries costs no table. */
+    mutable std::vector<unsigned> memo_;
     double memoStep_ = 0.0;
     /** Loads at or above this (the Eq. 2 saturation clamp point,
      *  k - 1e-6) all produce satThreshold_. */
     double memoMax_ = 0.0;
     unsigned satThreshold_ = 0;
-    mutable std::uint64_t memoHits_ = 0;
-    mutable std::uint64_t memoMisses_ = 0;
 };
 
 /**

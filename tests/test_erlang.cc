@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "core/erlang.hh"
 #include "core/prediction.hh"
@@ -127,6 +131,70 @@ TEST(ThresholdModel, ThresholdMonotoneInLoad)
         const unsigned t = m.threshold(rho * 16);
         EXPECT_GE(t, prev);
         prev = t;
+    }
+}
+
+TEST(ThresholdModel, MemoMatchesDirectSolve)
+{
+    // threshold() answers from a table whose cells are solved on
+    // first use, so every answer must equal Eq. 2 clamped and rounded
+    // however the queries are ordered. Loads cover [0, 1.01 k]
+    // densely, with the nextafter neighbour of each toward 0, and
+    // reach past saturation.
+    const ModelConstants sets[] = {
+        defaultConstants("Fixed"), defaultConstants("Uniform"),
+        defaultConstants("Bimodal"), defaultConstants("Exponential"),
+        ModelConstants{}};
+    for (const unsigned k : {1u, 3u, 7u, 15u, 63u}) {
+        const double kd = static_cast<double>(k);
+        const double sat = kd - 1e-6;
+        std::vector<double> loads;
+        constexpr int kDense = 2500;
+        for (int j = 0; j <= kDense; ++j)
+            loads.push_back(1.01 * kd * j / kDense);
+        for (const double a : {sat, kd, 2.0 * kd, 1e9})
+            loads.push_back(a);
+        const std::size_t base = loads.size();
+        for (std::size_t j = 0; j < base; ++j) {
+            if (loads[j] > 0.0)
+                loads.push_back(std::nextafter(loads[j], 0.0));
+        }
+        std::sort(loads.begin(), loads.end());
+
+        for (const ModelConstants &c : sets) {
+            SCOPED_TRACE(testing::Message() << "k=" << k << " a=" << c.a
+                                            << " b=" << c.b);
+            const ThresholdModel oracle(k, 10.0, c);
+            const double upper =
+                static_cast<double>(oracle.upperBound());
+            std::vector<unsigned> want(loads.size());
+            for (std::size_t j = 0; j < loads.size(); ++j) {
+                want[j] = static_cast<unsigned>(std::round(std::clamp(
+                    oracle.expectedThreshold(loads[j]), 1.0, upper)));
+            }
+
+            std::vector<std::size_t> ascending(loads.size());
+            std::iota(ascending.begin(), ascending.end(), 0);
+            std::vector<std::size_t> descending(ascending.rbegin(),
+                                                ascending.rend());
+            std::vector<std::size_t> shuffled = ascending;
+            std::shuffle(shuffled.begin(), shuffled.end(),
+                         std::mt19937_64(k * 31 + 7));
+            for (const auto *order :
+                 {&ascending, &descending, &shuffled}) {
+                const ThresholdModel m(k, 10.0, c);
+                std::vector<unsigned> got(loads.size());
+                for (const std::size_t j : *order)
+                    got[j] = m.threshold(loads[j]);
+                for (std::size_t j = 0; j < got.size(); ++j) {
+                    ASSERT_EQ(got[j], want[j]) << "at load " << loads[j];
+                    if (j > 0) {
+                        ASSERT_LE(got[j - 1], got[j])
+                            << "at load " << loads[j];
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -248,6 +248,17 @@ TEST(PinnedFingerprints, AcRssFaultedTwoManagerKills)
               "5f823b63b9e768b7");
 }
 
+// altocsim --design AC_int --cores 16 --groups 2 --rate 11
+//          --seed 3 --fault-spec kill=3@20000
+// Worker core 3 fail-stops at 20 us, so group 0's runtime switches
+// from the threshold model of 7 workers to one of its 6 survivors.
+TEST(PinnedFingerprints, AcIntWorkerKillShrinksModel)
+{
+    EXPECT_EQ(pinnedFingerprint({Design::AcInt, 16, 2, 200, 11.0, 3,
+                                 "kill=3@20000", true}),
+              "5187fbdfd139b446");
+}
+
 // Software (shared-cache) messaging: UPDATEs take hw::kSwUpdateNs,
 // three times the period, and book no NoC links.
 TEST(PinnedFingerprints, AcIntSoftwareMessaging)
