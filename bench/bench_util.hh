@@ -58,17 +58,12 @@ section(const char *title)
  *                  to the ALTOC_FAULTS env. Most benches ignore it;
  *                  ablation_faults runs it instead of its built-in
  *                  intensity ladder.
- *   --trace[=FILE] attach the binary event tracer to every run
- *                  (trace/trace.hh). With =FILE, single-run benches
+ *   --trace[=FILE] attach the binary event tracer (trace/trace.hh)
+ *                  to the runs of the benches that read it
+ *                  (ablation_crash, ablation_faults); the others
+ *                  ignore it. With =FILE, single-run benches
  *                  serialize the rings there for `altoc-trace`;
  *                  sweeps with many runs record in memory only.
- *   --rack N       replicate the per-server design N times behind a
- *                  ToR dispatcher (system/rack.hh). N=1 (the
- *                  default) is a rack of one, bit-identical to a
- *                  bare server.
- *   --tor-policy P inter-server dispatch policy for --rack runs:
- *                  random, rr, p2c (power-of-2-choices, default),
- *                  or ll (least-loaded).
  */
 struct Options
 {
@@ -77,9 +72,6 @@ struct Options
     std::string faultSpec; //!< empty = no override
     bool trace = false;
     std::string traceFile; //!< empty = rings stay in memory
-    unsigned rack = 1;     //!< servers behind the ToR (1 = no rack)
-    altoc::system::TorPolicy torPolicy =
-        altoc::system::TorPolicy::PowerOfK;
 
     /** The WorkloadSpec::tracing this command line asks for. */
     altoc::trace::TraceConfig
@@ -89,16 +81,6 @@ struct Options
         tc.enabled = trace;
         tc.file = traceFile;
         return tc;
-    }
-
-    /** The DesignConfig::rack this command line asks for. */
-    altoc::system::RackConfig
-    rackConfig() const
-    {
-        altoc::system::RackConfig rc;
-        rc.servers = rack;
-        rc.policy = torPolicy;
-        return rc;
     }
 };
 
@@ -129,18 +111,9 @@ parseArgs(int argc, char **argv)
         } else if (std::strncmp(arg, "--trace=", 8) == 0) {
             opt.trace = true;
             opt.traceFile = arg + 8;
-        } else if (std::strcmp(arg, "--rack") == 0) {
-            const long v = std::atol(value("--rack"));
-            if (v < 1)
-                fatal("--rack must be >= 1");
-            opt.rack = static_cast<unsigned>(v);
-        } else if (std::strcmp(arg, "--tor-policy") == 0) {
-            opt.torPolicy = altoc::system::torPolicyFromName(
-                value("--tor-policy"));
         } else {
             fatal("unknown argument '%s' (supported: --jobs N, "
-                  "--scale X, --fault-spec S, --trace[=FILE], "
-                  "--rack N, --tor-policy P)", arg);
+                  "--scale X, --fault-spec S, --trace[=FILE])", arg);
         }
     }
     if (opt.faultSpec.empty()) {

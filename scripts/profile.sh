@@ -7,7 +7,8 @@
 #            rack16_p2c, acrss16_lossy)
 #   --mode   the altoc_perf mode to sample: e2e (a whole run) or setup
 #            (rack construction and no run, 0.03-2 ms a call; samples
-#            cover the whole process, so read the self shares)
+#            cover the whole process, start-up included, so read the
+#            constructors' inclusive shares)
 #   --calls  altoc_perf calls to sample, one process each
 #            (default 12 for e2e and 200 for setup: calls 0 .. N-1)
 #   --seed   workload seed (default 10; 11 is held out for claims)
@@ -17,7 +18,7 @@
 # into an LD_PRELOAD object there, samples every call with a 20 us
 # wall-clock timer, then symbolizes the stacks and prints self shares
 # per function and per namespace and inclusive shares per dispatched
-# event callback (scripts/profile/report.py).
+# event callback and per function (scripts/profile/report.py).
 #
 # Needs cmake, a C/C++ compiler and binutils' addr2line. Sample files
 # go to a temporary directory under $TMPDIR (default /tmp), removed on
@@ -25,7 +26,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 

@@ -7,7 +7,7 @@ Usage: scripts/profile/report.py FILE...   (scripts/profile.sh runs it)
 Every address is symbolized with `addr2line -f -i -C`, so a frame
 expands into its inline chain and inlined functions count as
 functions. Names are shortened: no template arguments, parameter
-lists or return types. Three tables follow:
+lists or return types. Four tables follow:
 
   self share per function     the innermost qualified function of
                               each sample outside std and __gnu_cxx,
@@ -28,6 +28,15 @@ lists or return types. Three tables follow:
                               summaries and stacks too deep for the
                               12 recorded frames are (outside the
                               event loop).
+  inclusive share per function
+                              every function named anywhere in a
+                              sample's stack, inline chains included,
+                              counted once per sample however often
+                              it recurs there, so a constructor's
+                              share covers everything it calls. A
+                              caller more than 12 frames above the
+                              leaf is not seen; unsymbolized frames
+                              (??) are left out.
 """
 
 import collections
@@ -189,16 +198,22 @@ def callback_of(frames):
     return OUTSIDE
 
 
-def table(title, counts, total, limit=TOP):
+def table(title, counts, total, limit=TOP, additive=True):
+    """Print the top @p limit rows. A table whose rows overlap
+    (@p additive false) has no share left over to print."""
     print()
     print("%s (%d samples)" % (title, total))
     for name, n in counts.most_common(limit):
         print("  %6.2f%%  %s" % (100.0 * n / total, name))
-    rest = sum(counts.values()) - sum(n for _, n in
-                                      counts.most_common(limit))
-    if rest:
+    if len(counts) <= limit:
+        return
+    if additive:
+        rest = sum(counts.values()) - sum(n for _, n in
+                                          counts.most_common(limit))
         print("  %6.2f%%  (%d more)" % (100.0 * rest / total,
                                         len(counts) - limit))
+    else:
+        print("           (%d more)" % (len(counts) - limit))
 
 
 def main(paths):
@@ -217,18 +232,23 @@ def main(paths):
     self_fn = collections.Counter()
     self_ns = collections.Counter()
     callbacks = collections.Counter()
+    inclusive = collections.Counter()
     for s in keyed:
         frames = [[short_name(f) for f in names[a]] for a in s]
-        fn = self_function([n for chain in frames for n in chain])
+        flat = [n for chain in frames for n in chain]
+        fn = self_function(flat)
         self_fn[fn] += 1
         self_ns[namespace_of(fn)] += 1
         callbacks[callback_of(frames)] += 1
+        inclusive.update(set(flat) - {"??"})
     total = len(samples)
     print("%d samples from %d process(es), %d dropped" % (
         total, len(runs), dropped))
     table("Self share per function", self_fn, total)
     table("Self share per namespace", self_ns, total)
     table("Inclusive share per dispatched callback", callbacks, total)
+    table("Inclusive share per function", inclusive, total,
+          additive=False)
 
 
 if __name__ == "__main__":

@@ -162,12 +162,6 @@ class HwMessaging
      */
     void setManagerDead(unsigned mgr);
 
-    /** True when setManagerDead(mgr) was called. */
-    bool managerDead(unsigned mgr) const
-    {
-        return mgr < deadMgr_.size() && deadMgr_[mgr] != 0;
-    }
-
     /** Attach the run's event tracer (null = untraced). MIGRATE
      *  protocol legs (send, arrival, ACK, NACK, timeout) are recorded
      *  on the involved manager's ring; recording is memory-only and

@@ -89,7 +89,6 @@ class ThresholdModel
     unsigned upperBound() const;
 
     unsigned k() const { return k_; }
-    double lFactor() const { return lFactor_; }
     const ModelConstants &constants() const { return consts_; }
 
   private:

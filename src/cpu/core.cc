@@ -34,10 +34,8 @@ Core::run(net::Rpc *r, Tick dispatch_delay, Tick quantum)
 
     const Tick slice = std::min(r->remaining, quantum);
     Tick stretch = 0;
-    if (stretch_) {
+    if (stretch_)
         stretch = stretch_(id_, sim_.now() + dispatch_delay, slice);
-        stalledNs_ += stretch;
-    }
     sim_.after(dispatch_delay + slice + stretch, [this, r, slice] {
         finishSlice(r, slice);
     });

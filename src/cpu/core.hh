@@ -89,7 +89,7 @@ class Core
      * (core id, start tick, slice ns) and returns extra wall time the
      * slice takes (straggler dips, freezes). The fault injector
      * installs this; unset (the default) costs nothing. Stretch time
-     * counts as stalledNs, not busyNs.
+     * does not count toward busyNs.
      */
     using StretchFn = InlineFunction<Tick(unsigned, Tick, Tick)>;
 
@@ -97,9 +97,6 @@ class Core
 
     /** Nanoseconds spent executing request work (utilization). */
     Tick busyNs() const { return busyNs_; }
-
-    /** Nanoseconds lost to injected straggle/freeze stretches. */
-    Tick stalledNs() const { return stalledNs_; }
 
     /** Requests fully completed on this core. */
     std::uint64_t completed() const { return completed_; }
@@ -121,7 +118,6 @@ class Core
     ServiceResolver resolver_;
     StretchFn stretch_;
     Tick busyNs_ = 0;
-    Tick stalledNs_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t preemptions_ = 0;
 };

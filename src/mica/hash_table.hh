@@ -54,8 +54,6 @@ class HashTable
     /** Remove the mapping (used by tests); true if present. */
     bool erase(std::uint64_t hash);
 
-    std::size_t bucketCount() const { return buckets_.size(); }
-
     std::uint64_t evictions() const { return evictions_; }
 
   private:

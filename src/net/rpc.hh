@@ -79,9 +79,6 @@ struct Rpc
     /** Request class. */
     RequestKind kind = RequestKind::Generic;
 
-    /** Owning application/tenant (multi-tenant isolation support). */
-    std::uint8_t tenant = 0;
-
     /** Set once the request has been migrated (migrate-at-most-once,
      *  Sec. V-B optimization 4). */
     bool migrated = false;

@@ -169,7 +169,6 @@ WorkStealingScheduler::finishSteal(unsigned thief, unsigned victim,
         return;
     }
 
-    ++failedSteals_;
     if (probes_left > 0) {
         const int next = pickVictim(thief);
         if (next < 0)

@@ -50,9 +50,6 @@ class WorkStealingScheduler : public DFcfsScheduler
     /** Requests that crossed cores via stealing. */
     std::uint64_t steals() const { return steals_; }
 
-    /** Steal attempts that found no work. */
-    std::uint64_t failedSteals() const { return failedSteals_; }
-
   protected:
     void onAttach() override;
     void onCompletion(cpu::Core &core, net::Rpc *r) override;
@@ -78,7 +75,6 @@ class WorkStealingScheduler : public DFcfsScheduler
     /** Cores that gave up probing and parked until new work shows up. */
     std::vector<unsigned> parked_;
     std::uint64_t steals_ = 0;
-    std::uint64_t failedSteals_ = 0;
 };
 
 } // namespace altoc::sched

@@ -164,12 +164,6 @@ class Auditor
     /** True when no invariant has been violated. */
     bool ok() const { return violationCount_ == 0; }
 
-    /** Event whose dispatch is currently being audited. */
-    EventId currentEvent() const { return curEvent_; }
-
-    /** Tick of the current audit context. */
-    Tick currentTick() const { return curTick_; }
-
     /**
      * Print the violation report: one line per violation naming the
      * invariant, event id, tick and detail. @p out defaults to

@@ -149,7 +149,6 @@ class Rack
     std::uint64_t torShed() const { return torShed_; }
 
     bool serverDead(unsigned s) const { return dead_[s]; }
-    unsigned liveServers() const { return liveServers_; }
 
     /** The ToR's own tracer (null unless tracing and servers > 1):
      *  per-request records on one ring, ServerDead on another. */

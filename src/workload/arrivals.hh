@@ -92,8 +92,6 @@ class MmppArrivals : public ArrivalProcess
     double meanRate() const override { return rate_; }
     std::string name() const override { return "MMPP"; }
 
-    bool inBurst() const { return inBurst_; }
-
   private:
     double rate_;
     double calmRate_;

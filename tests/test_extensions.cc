@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the extension modules: time series, the deadline-drop
- * baseline and the AC worker-preemption quantum.
+ * baseline, the AC worker-preemption quantum and static core
+ * partitioning between tenants.
  */
 
 #include <gtest/gtest.h>
@@ -177,4 +178,46 @@ TEST(AcPreemption, LoneLongRequestRunsWithoutChurn)
     // No competition -> resume-in-place, no preemption tax: latency
     // stays at service + transit.
     EXPECT_LT(res.latency.p50, 51 * kUs);
+}
+
+// ---------------------------------------------------------------------
+// Static partitioning (bench/ablation_isolation's two arms)
+// ---------------------------------------------------------------------
+
+TEST(Isolation, StaticSliceMeetsSloWhereSharedSchedulerFails)
+{
+    // A quiet tenant (fixed 1 us RPCs, 6 MRPS, 12,000 requests) beside
+    // a bursty 20 MRPS neighbor. Shared, one 32-core AC_int server
+    // serves the combined bursty stream; isolated, the quiet tenant
+    // runs on a 16-core slice of its own, which no neighbor burst
+    // reaches.
+    DesignConfig shared;
+    shared.design = Design::AcInt;
+    shared.cores = 32;
+    shared.groups = 4;
+    WorkloadSpec combined;
+    combined.service = workload::makeFixed(1 * kUs);
+    combined.rateMrps = 26.0;
+    combined.realWorldArrivals = true;
+    combined.requests = 52000;
+    combined.seed = 29;
+
+    DesignConfig slice;
+    slice.design = Design::AcInt;
+    slice.cores = 16;
+    slice.groups = 2;
+    WorkloadSpec quiet;
+    quiet.service = workload::makeFixed(1 * kUs);
+    quiet.rateMrps = 6.0;
+    quiet.requests = 12000;
+    quiet.seed = 29;
+
+    const RunResult sharedRes = runExperiment(shared, combined);
+    const RunResult sliceRes = runExperiment(slice, quiet);
+    EXPECT_EQ(sharedRes.completed, 52000u);
+    EXPECT_EQ(sliceRes.completed, 12000u);
+    EXPECT_EQ(sharedRes.sloTarget, 10 * kUs);
+    EXPECT_EQ(sliceRes.sloTarget, 10 * kUs);
+    EXPECT_FALSE(sharedRes.meetsSlo());
+    EXPECT_TRUE(sliceRes.meetsSlo());
 }
